@@ -17,10 +17,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from byzlab.atoms import Faulty
-from byzlab.detect import DetectionInput, belief_who_is_faulty
+from byzlab.detect import cross_check
 from byzlab.engine import enumerate_runs
-from byzlab.formulas import Atom, Believe
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import load_scenario
 
@@ -32,21 +30,15 @@ def sweep(name):
     start = time.monotonic()
     runs = enumerate_runs(sc.ctx)
     system = InterpretedSystem(runs)
-    verdicts = refuted = histories = 0
-    for i in range(1, sc.ctx.n + 1):
-        for h, pts in system.agent_classes(i).items():
-            histories += 1
-            rep = belief_who_is_faulty(DetectionInput(
-                h, i, sc.ctx.f, sc.ctx.protocols, sc.trust))
-            for ell in sorted(rep.faulty):
-                verdicts += 1
-                if not system.eval(pts[0], Believe(i, Atom(Faulty(ell)))):
-                    refuted += 1
+    verdicts = cross_check(sc, system)
     return {
         "scenario": name, "n": sc.ctx.n, "f": sc.ctx.f,
         "horizon": sc.ctx.horizon, "runs": len(runs),
         "points": len(runs) * (system.horizon + 1),
-        "histories": histories, "verdicts": verdicts, "refuted": refuted,
+        "histories": sum(len(system.agent_classes(i))
+                         for i in range(1, sc.ctx.n + 1)),
+        "verdicts": len(verdicts),
+        "refuted": sum(not ok for *_, ok in verdicts),
         "seconds": round(time.monotonic() - start, 3),
     }
 

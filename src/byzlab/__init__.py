@@ -14,9 +14,9 @@ from .chains import (
     shorten_chain, threshold_belief,
 )
 from .detect import (
-    BeliefReport, DetectionInput, belief_who_is_faulty, dir_notif_faulty,
-    dir_obs_faulty, group_occurrence_belief, local_knowledge,
-    self_check_faulty,
+    BeliefReport, DetectionInput, belief_who_is_faulty, cross_check,
+    dir_notif_faulty, dir_obs_faulty, group_occurrence_belief,
+    local_knowledge, self_check_faulty,
 )
 from .engine import (
     AgentContext, CapExceeded, check_closure_properties, check_t_coherent,

@@ -18,7 +18,9 @@ import os
 import sys
 
 from .chains import PackingCapExceeded
-from .detect import DetectionInput, belief_who_is_faulty, group_occurrence_belief
+from .detect import (
+    DetectionInput, belief_who_is_faulty, cross_check, group_occurrence_belief,
+)
 from .engine import (
     CapExceeded, check_closure_properties, count_choice_tree, enumerate_runs,
     seeded_run,
@@ -145,26 +147,11 @@ def cmd_check(args) -> int:
             out["warning"] = warning
     unsound = []
     if args.against_detection:
-        unsound = _cross_check(sc, system)
-        out["detection_claims_refuted"] = [
-            {"agent": i, "about": j, "point": list(p)} for i, j, p in unsound]
+        unsound = [{"agent": i, "about": j, "point": list(p)}
+                   for i, j, p, ok in cross_check(sc, system) if not ok]
+        out["detection_claims_refuted"] = unsound
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_UNSOUND if unsound else EXIT_OK
-
-
-def _cross_check(sc: Scenario, system: InterpretedSystem):
-    """Every believed-faulty verdict must hold as belief in the oracle."""
-    from .atoms import Faulty
-    from .formulas import Atom, Believe
-    bad = []
-    for i in range(1, sc.ctx.n + 1):
-        for h, pts in system.agent_classes(i).items():
-            bel = belief_who_is_faulty(DetectionInput(
-                h, i, sc.ctx.f, sc.ctx.protocols, sc.trust))
-            for j in sorted(bel.faulty):
-                if not system.eval(pts[0], Believe(i, Atom(Faulty(j)))):
-                    bad.append((i, j, pts[0]))
-    return bad
 
 
 def cmd_validate(args) -> int:

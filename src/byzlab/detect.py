@@ -14,7 +14,7 @@ from .atoms import Faulty, OccurredCorrectly
 from .chains import (
     TrustTable, chains_minus, extract_chains, max_disjoint,
 )
-from .formulas import Atom, group_occurrence_formula
+from .formulas import Atom, Believe, group_occurrence_formula
 from .haps import AgentId, LocalHistory, Recv, Send
 
 
@@ -122,6 +122,22 @@ def belief_who_is_faulty(inp: DetectionInput,
         if stable:
             break
     return BeliefReport(F, provenance, iterations)
+
+
+def cross_check(scenario, system) -> list:
+    """Every believed-faulty verdict of each distinct local history in an
+    enumerated `system`, as (agent, suspect, point, confirmed): point is
+    the first of the history's points, confirmed the oracle's verdict."""
+    ctx = scenario.ctx
+    verdicts = []
+    for i in range(1, ctx.n + 1):
+        for h, pts in system.agent_classes(i).items():
+            rep = belief_who_is_faulty(DetectionInput(
+                h, i, ctx.f, ctx.protocols, scenario.trust))
+            for j in sorted(rep.faulty):
+                verdicts.append((i, j, pts[0], system.eval(
+                    pts[0], Believe(i, Atom(Faulty(j))))))
+    return verdicts
 
 
 def local_knowledge(h_i: LocalHistory, i: AgentId, query) -> bool:

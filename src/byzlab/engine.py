@@ -14,12 +14,10 @@ from typing import Dict, List, Optional
 
 from .haps import (
     AgentId, ByzAction, ByzEvent, GExternal, GRecv, GSend,
-    GlobalState, Go, Hib, Run, Sleep, Timestamp, fail,
-    initial_state, is_fault_event, update_agent,
-    update_env,
+    GlobalState, Go, Hib, Run, Sleep, Timestamp, apply_round, fail,
+    globalize, initial_state, is_fault_event,
 )
 from .protocols import AgentProtocol, EnvProtocol, fault_alphabet, _subsets
-from .serial import ghap_key, local_key
 
 
 class CapExceeded(Exception):
@@ -178,8 +176,7 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
                 raise ValueError(f"agent {i} choice outside protocol range")
 
     # Labeling: local actions to global format with GMIs.
-    alphas = [frozenset(GSend(i, a.to, a.msg, a.copy, t)
-                        for a in agent_choices[i - 1])
+    alphas = [frozenset(globalize(i, t, a) for a in agent_choices[i - 1])
               for i in range(1, ctx.n + 1)]
     alpha_eps = _materialize(state, env_choice, alphas)
 
@@ -193,31 +190,17 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
     betas = [filter_action_std(i, alphas, beta_eps) for i in range(1, ctx.n + 1)]
 
     # Updating.
-    env = update_env(state.env, beta_eps, betas)
-    locs = tuple(update_agent(state.local(i), i, betas[i - 1], beta_eps)
-                 for i in range(1, ctx.n + 1))
-    return GlobalState(env, locs)
+    return apply_round(state, beta_eps.union(*betas))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
 def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
-    """Deterministically ordered (env_choice, per-agent choices) pairs."""
-    env_opts = sorted(ctx.env(t), key=_env_key)
-    agent_opts = []
-    for i in range(1, ctx.n + 1):
-        opts = sorted(ctx.protocol(i)(state.local(i)), key=_local_set_key)
-        agent_opts.append(opts)
-    return env_opts, agent_opts
-
-
-def _env_key(X: frozenset) -> str:
-    return "|".join(sorted(ghap_key(g) for g in X))
-
-
-def _local_set_key(D: frozenset) -> str:
-    return "|".join(sorted(local_key(a) for a in D))
+    """The env menu and each agent's choices, in the order their
+    protocols fixed at construction."""
+    return ctx.env(t), [ctx.protocol(i)(state.local(i))
+                        for i in range(1, ctx.n + 1)]
 
 
 def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:

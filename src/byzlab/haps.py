@@ -29,15 +29,6 @@ class GMI:
     sent_at: Timestamp
 
 
-def make_gmi(sender: AgentId, receiver: AgentId, msg: str, copy: int,
-             sent_at: Timestamp) -> GMI:
-    return GMI(sender, receiver, msg, copy, sent_at)
-
-
-def decode_gmi(gmi: GMI) -> tuple:
-    return (gmi.sender, gmi.receiver, gmi.msg, gmi.copy, gmi.sent_at)
-
-
 # ---------------------------------------------------------------------------
 # Local format
 
@@ -151,10 +142,6 @@ def is_system(g: GlobalHap) -> bool:
     return isinstance(g, SYSTEM_KINDS)
 
 
-def is_byzantine(g: GlobalHap) -> bool:
-    return isinstance(g, BYZ_KINDS)
-
-
 def is_fault_event(g: GlobalHap) -> bool:
     """Membership in FEvents: byzantine events plus sleep and hibernate."""
     return isinstance(g, BYZ_KINDS + (Sleep, Hib))
@@ -162,11 +149,6 @@ def is_fault_event(g: GlobalHap) -> bool:
 
 def is_event(g: GlobalHap) -> bool:
     return not isinstance(g, GSend)
-
-
-def event_agent(g: GlobalHap) -> AgentId:
-    """The perceiving agent of an event, or the performer of an action."""
-    return g.agent
 
 
 def localize(g: GlobalHap) -> Optional[LocalHap]:
@@ -231,16 +213,8 @@ class GlobalState:
     env: tuple  # tuple of frozensets of GlobalHap, oldest-first
     locals: tuple  # tuple of LocalHistory, index agent-1
 
-    @property
-    def time(self) -> Timestamp:
-        return len(self.env)
-
     def local(self, agent: AgentId) -> LocalHistory:
         return self.locals[agent - 1]
-
-    def env_contains(self, g: GlobalHap, upto: Optional[Timestamp] = None) -> bool:
-        rounds = self.env if upto is None else self.env[:upto]
-        return any(g in rnd for rnd in rounds)
 
 
 def initial_state(initials) -> GlobalState:
@@ -293,19 +267,21 @@ def update_agent(h: LocalHistory, agent: AgentId, X_i: frozenset,
     return h.append(perceived(X_eps_i | X_i))
 
 
-def update_env(env: tuple, X_eps: frozenset, actions) -> tuple:
-    """Append the round's disjoint union (events plus all agents' actions).
-
-    The environment records everything verbatim, system events included.
-    """
-    rnd = set(X_eps)
-    for X_i in actions:
-        rnd |= X_i
-    return env + (frozenset(rnd),)
+def apply_round(state: GlobalState, rnd: frozenset) -> GlobalState:
+    """The state after one round, given the environment's verbatim record
+    of it: the round's events plus the correct sends agents performed.
+    Each agent's actions are its `GSend`s, since menus hold events only."""
+    locals_ = tuple(
+        update_agent(h, i, frozenset(g for g in rnd
+                                     if isinstance(g, GSend) and g.agent == i),
+                     rnd)
+        for i, h in enumerate(state.locals, start=1))
+    return GlobalState(state.env + (rnd,), locals_)
 
 
 def replay_local(agent: AgentId, env: tuple, initial: str) -> LocalHistory:
-    """Rebuild an agent's local history from the environment history."""
+    """Rebuild an agent's local history from the environment history;
+    tests check `apply_round` against it."""
     h = LocalHistory(initial)
     for rnd in env:
         X_i = frozenset(g for g in rnd if isinstance(g, GSend) and g.agent == agent)

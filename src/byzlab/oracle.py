@@ -48,9 +48,6 @@ class InterpretedSystem:
         ridx, t = p
         return self.runs[ridx].local(agent, t)
 
-    def indistinguishable(self, p: Point, q: Point, agent: AgentId) -> bool:
-        return self.local_at(p, agent) == self.local_at(q, agent)
-
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
             classes: Dict[LocalHistory, List[Point]] = {}

@@ -20,12 +20,17 @@ from .haps import (
     AgentId, LocalHistory,
     Recv, Send, Timestamp, fail, is_fault_event,
 )
+from .serial import ghap_key, local_key, order_sets
 
 
 @dataclass(frozen=True)
 class Rule:
     guard: tuple  # parsed guard expression, see guard_holds
     choices: tuple  # tuple of frozensets of local actions, never empty
+
+    def __post_init__(self):
+        # the adversary's deterministic order over the choices
+        object.__setattr__(self, "choices", order_sets(self.choices, local_key))
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,11 @@ class EnvProtocol:
 
     menus: tuple  # index t -> tuple of frozensets of GlobalHap
 
+    def __post_init__(self):
+        # the adversary's deterministic order over each menu
+        object.__setattr__(self, "menus", tuple(
+            order_sets(menu, ghap_key) for menu in self.menus))
+
     def __call__(self, t: Timestamp) -> tuple:
         if t < len(self.menus):
             return self.menus[t]
@@ -119,16 +129,18 @@ def _agent_events(X: frozenset, i: AgentId) -> frozenset:
     return frozenset(g for g in X if g.agent == i)
 
 
-def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> tuple:
+def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     """Saturate a menu under the four agent-fault closure properties.
 
     Fixpoint of: X u {fail(i)}; X minus FEvents_i; X minus GEvents_i; and
     Y joined with X minus GEvents_i for coherent Y over the fault
-    alphabet.  Only t-coherent sets are admitted.
+    alphabet.  Only t-coherent sets are admitted.  The closure comes back
+    unordered; `EnvProtocol` orders it.
     """
     from .engine import check_t_coherent
 
     alpha = fault_alphabet(base, n)
+    subsets = {i: list(_subsets(alpha[i])) for i in alpha}
     seen = {frozenset(X) for X in base}
     frontier = list(seen)
     while frontier:
@@ -140,7 +152,7 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> tuple:
                 candidates.append(X - frozenset(g for g in X if is_fault_event(g) and g.agent == i))
                 stripped = X - _agent_events(X, i)
                 candidates.append(stripped)
-                for Y in _subsets(alpha[i]):
+                for Y in subsets[i]:
                     candidates.append(stripped | Y)
             for C in candidates:
                 C = frozenset(C)
@@ -150,17 +162,13 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> tuple:
             if len(seen) > cap:
                 raise ValueError(f"menu closure at t={t} exceeds cap {cap}")
         frontier = new
-    return tuple(sorted(seen, key=_set_key))
+    return frozenset(seen)
 
 
 def _subsets(s: frozenset):
     items = sorted(s, key=repr)
     for mask in range(1 << len(items)):
         yield frozenset(items[k] for k in range(len(items)) if mask >> k & 1)
-
-
-def _set_key(X: frozenset) -> str:
-    return "|".join(sorted(repr(g) for g in X))
 
 
 def relay_rules(trust, agent: AgentId) -> List[Rule]:

@@ -13,9 +13,11 @@ Top-level keys:
     adversary        {"mode": "seeded" | "enumerate", "seed": int}
     caps             {"node_cap": int, "menu_cap": int}   (optional)
 
-Haps follow the canonical array serialization.  A `gsend` (alone or
-inside a byz action) may give null for `sent_at`; it is filled with the
-timestamp of the menu it appears in.  A menu marked "close" is saturated
+Haps follow the canonical array serialization.  Menu sets hold events
+only, and rule choices hold sends only: a correct send comes from an
+agent's protocol, never from the environment.  A `gsend` inside a byz
+action may give null for `sent_at`; it is filled with the timestamp of
+the menu it appears in.  A menu marked "close" is saturated
 so every agent stays fallible, correctable, delayable and gullible.
 """
 
@@ -28,7 +30,7 @@ from typing import Optional
 from .chains import TrustTable
 from .engine import AgentContext, check_t_coherent
 from .formulas import parse_formula
-from .haps import ByzAction, GSend
+from .haps import ByzAction, GSend, Send, is_event
 from .protocols import AgentProtocol, EnvProtocol, Rule, close_menu
 from .serial import ghap_from_json, local_from_json
 
@@ -46,7 +48,6 @@ class Scenario:
     name: str
     ctx: AgentContext
     trust: TrustTable
-    adversary_mode: str  # "seeded" or "enumerate"
     seed: int
 
 
@@ -136,6 +137,10 @@ def scenario_from_json(doc: dict, name: str,
                                     "need a non-empty list of action sets")
             choices = tuple(
                 frozenset(local_from_json(a) for a in D) for D in choices_doc)
+            for m, D in enumerate(choices):
+                if not all(isinstance(a, Send) for a in D):
+                    raise ScenarioError(f"{rw}.choices[{m}]",
+                                        "choices hold sends only")
             rules.append(Rule(guard, choices))
         if not any(r.guard == ("always",) for r in rules):
             rules.append(Rule(("always",), (frozenset(),)))
@@ -159,6 +164,9 @@ def scenario_from_json(doc: dict, name: str,
                 if not (1 <= g.agent <= n):
                     raise ScenarioError(f"{where}.sets[{k}]",
                                         f"agent {g.agent} out of range 1..{n}")
+                if not is_event(g):
+                    raise ScenarioError(f"{where}.sets[{k}]",
+                                        "menus hold events only")
             if not check_t_coherent(X, t):
                 raise ScenarioError(f"{where}.sets[{k}]",
                                     f"event set is not {t}-coherent")
@@ -214,5 +222,4 @@ def scenario_from_json(doc: dict, name: str,
         n=n, env=EnvProtocol(tuple(menus)), protocols=tuple(protocols),
         initials=tuple(initials), template=template, f=f,
         horizon=horizon, node_cap=cap)
-    return Scenario(name=name, ctx=ctx, trust=trust,
-                    adversary_mode=mode, seed=seed)
+    return Scenario(name=name, ctx=ctx, trust=trust, seed=seed)

@@ -115,6 +115,13 @@ def local_key(a: LocalHap) -> str:
     return json.dumps(local_to_json(a), separators=(",", ":"))
 
 
+def order_sets(sets, hap_key) -> tuple:
+    """Hap sets in canonical order: by their members' keys, sorted and
+    joined with "|".  Each distinct hap's key is computed once."""
+    keys = {h: hap_key(h) for h in frozenset().union(*sets)}
+    return tuple(sorted(sets, key=lambda X: "|".join(sorted(keys[h] for h in X))))
+
+
 def hapset_to_json(haps, to_json) -> list:
     return sorted((to_json(h) for h in haps),
                   key=lambda v: json.dumps(v, separators=(",", ":")))

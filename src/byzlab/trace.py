@@ -18,9 +18,7 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-from .haps import (
-    GSend, GlobalState, Run, initial_state, is_event, update_agent, update_env,
-)
+from .haps import Run, apply_round, initial_state
 from .serial import ghap_from_json, ghap_to_json, hapset_to_json
 
 TRACE_VERSION = 1
@@ -65,12 +63,17 @@ def read_trace(path: str) -> Tuple[Run, dict]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise TraceError(f"{path}:1: not valid JSON ({e})")
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise TraceError(f"{path}:1: first line must be the header")
     if header.get("version") != TRACE_VERSION:
         raise TraceError(f"{path}:1: unsupported version {header.get('version')!r}")
-    initials = tuple(header["initials"])
-    n = header["agents"]
+    n = header.get("agents")
+    if not isinstance(n, int) or n < 1:
+        raise TraceError(f"{path}:1: agents must be a positive integer")
+    initials = header.get("initials")
+    if not isinstance(initials, list) \
+            or not all(isinstance(s, str) for s in initials):
+        raise TraceError(f"{path}:1: initials must be a list of state ids")
     if len(initials) != n:
         raise TraceError(f"{path}:1: got {len(initials)} initial states for {n} agents")
 
@@ -81,7 +84,7 @@ def read_trace(path: str) -> Tuple[Run, dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise TraceError(f"{path}:{lineno}: not valid JSON ({e})")
-        if rec.get("kind") != "round":
+        if not isinstance(rec, dict) or rec.get("kind") != "round":
             raise TraceError(f"{path}:{lineno}: expected a round record")
         if rec.get("t") != lineno - 2:
             raise TraceError(f"{path}:{lineno}: rounds out of order "
@@ -90,14 +93,10 @@ def read_trace(path: str) -> Tuple[Run, dict]:
             rnd = frozenset(ghap_from_json(v) for v in rec["haps"])
         except (ValueError, TypeError, IndexError, KeyError) as e:
             raise TraceError(f"{path}:{lineno}: bad hap ({e})")
-        X_eps = frozenset(g for g in rnd if is_event(g))
-        actions = [frozenset(g for g in rnd
-                             if isinstance(g, GSend) and g.agent == i)
-                   for i in range(1, n + 1)]
-        env = update_env(state.env, X_eps, actions)
-        locals_ = tuple(
-            update_agent(state.locals[i - 1], i, actions[i - 1], X_eps)
-            for i in range(1, n + 1))
-        state = GlobalState(env, locals_)
+        for g in rnd:
+            if not isinstance(g.agent, int) or not 1 <= g.agent <= n:
+                raise TraceError(f"{path}:{lineno}: agent {g.agent!r} "
+                                 f"out of range 1..{n}")
+        state = apply_round(state, rnd)
         states.append(state)
     return Run(tuple(states)), header

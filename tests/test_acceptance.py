@@ -20,7 +20,7 @@ from byzlab.chains import (
     pairwise_disjoint, shorten_chain, threshold_belief,
 )
 from byzlab.detect import (
-    DetectionInput, belief_who_is_faulty, group_occurrence_belief,
+    DetectionInput, belief_who_is_faulty, cross_check, group_occurrence_belief,
 )
 from byzlab.engine import enumerate_runs, seeded_run
 from byzlab.formulas import (
@@ -72,16 +72,11 @@ def reports(suite):
     return detection_reports(suite)
 
 
-def test_01_detection_soundness(suite, reports):
+def test_01_detection_soundness(suite):
     start = time.monotonic()
-    bad = []
-    for name, (sc, runs, sysm) in suite.items():
-        for i in range(1, sc.ctx.n + 1):
-            for h, pts in sysm.agent_classes(i).items():
-                rep = reports[(name, i, h)]
-                for ell in sorted(rep.faulty):
-                    if not sysm.eval(pts[0], Believe(i, Atom(Faulty(ell)))):
-                        bad.append((name, i, pts[0], ell))
+    bad = [(name, i, p, ell)
+           for name, (sc, runs, sysm) in suite.items()
+           for i, ell, p, confirmed in cross_check(sc, sysm) if not confirmed]
     elapsed = time.monotonic() - start
     assert elapsed < 300
     verdict(1, "every believed-faulty verdict holds as belief in the oracle",
@@ -201,6 +196,8 @@ def test_07_threshold_packing(suite, reports):
     fired = 0
     for name, (sc, runs, sysm) in suite.items():
         bases = {phi for phi, _ in sc.trust.entries.values()}
+        refuted = {(i, p) for i, _, p, confirmed in cross_check(sc, sysm)
+                   if not confirmed}
         for i in range(1, sc.ctx.n + 1):
             for h, pts in sysm.agent_classes(i).items():
                 rep = reports[(name, i, h)]
@@ -208,8 +205,7 @@ def test_07_threshold_packing(suite, reports):
                 if len(F) > sc.ctx.f:
                     continue
                 # only oracle-verified F feeds the threshold rule
-                if any(not sysm.eval(pts[0], Believe(i, Atom(Faulty(l))))
-                       for l in F):
+                if (i, pts[0]) in refuted:
                     continue
                 for phi in bases:
                     chains = chains_minus(

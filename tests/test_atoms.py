@@ -5,20 +5,16 @@ from byzlab.atoms import (
     OccurredCorrectly, eval_atom,
 )
 from byzlab.haps import (
-    ByzAction, ByzEvent, External, GExternal, GRecv, GSend, GlobalState, Go,
-    Recv, Run, Send, fail,
+    ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Recv, Run,
+    Send, apply_round, fail, initial_state,
 )
 
 
 def build_run(env_rounds, initials=("a", "b")):
-    """A run straight from environment rounds, local histories replayed."""
-    from byzlab.haps import replay_local
-    states = []
-    for t in range(len(env_rounds) + 1):
-        env = tuple(frozenset(r) for r in env_rounds[:t])
-        locals_ = tuple(replay_local(i, env, initials[i - 1])
-                        for i in range(1, len(initials) + 1))
-        states.append(GlobalState(env, locals_))
+    """A run straight from environment rounds."""
+    states = [initial_state(initials)]
+    for rnd in env_rounds:
+        states.append(apply_round(states[-1], frozenset(rnd)))
     return Run(tuple(states))
 
 

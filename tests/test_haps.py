@@ -1,9 +1,11 @@
 from hypothesis import given, strategies as st
 
+import pytest
+
 from byzlab.haps import (
-    External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send, Sleep,
-    decode_gmi, fail, globalize, initial_state, localize, make_gmi, perceived,
-    replay_local, update_agent, update_env,
+    GMI, External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send,
+    Sleep, apply_round, fail, globalize, initial_state, localize, perceived,
+    replay_local, update_agent,
 )
 
 agents = st.integers(min_value=1, max_value=5)
@@ -12,15 +14,16 @@ msgs = st.text(alphabet="abc", min_size=1, max_size=3)
 
 @given(agents, agents, msgs, st.integers(0, 3), st.integers(0, 4))
 def test_gmi_roundtrip(i, j, mu, copy, t):
-    gmi = make_gmi(i, j, mu, copy, t)
-    assert decode_gmi(gmi) == (i, j, mu, copy, t)
+    gmi = GMI(i, j, mu, copy, t)
+    assert (gmi.sender, gmi.receiver, gmi.msg, gmi.copy, gmi.sent_at) \
+        == (i, j, mu, copy, t)
 
 
 @given(agents, agents, msgs, st.integers(0, 3), st.integers(0, 4),
        agents, agents, msgs, st.integers(0, 3), st.integers(0, 4))
 def test_gmi_injective(i1, j1, m1, c1, t1, i2, j2, m2, c2, t2):
     same = (i1, j1, m1, c1, t1) == (i2, j2, m2, c2, t2)
-    assert (make_gmi(i1, j1, m1, c1, t1) == make_gmi(i2, j2, m2, c2, t2)) == same
+    assert (GMI(i1, j1, m1, c1, t1) == GMI(i2, j2, m2, c2, t2)) == same
 
 
 def test_localize_strips_global_detail():
@@ -37,6 +40,9 @@ def test_localize_strips_global_detail():
 def test_globalize_tags_sender_and_time():
     g = globalize(1, 4, Send(2, "m", 1))
     assert g == GSend(1, 2, "m", 1, 4)
+    # only sends are actions
+    with pytest.raises(ValueError):
+        globalize(1, 4, External("e"))
 
 
 def test_perceived_drops_system_events():
@@ -67,24 +73,17 @@ def test_history_membership_and_prefix():
 
 
 def test_replay_matches_incremental_update():
-    env = ()
     s = GSend(1, 2, "m", 0, 0)
     rounds = [
         frozenset({Go(1), s}),
         frozenset({Go(2), GRecv(2, 1, "m", s.gmi)}),
     ]
     state = initial_state(("a", "b"))
-    locals_ = list(state.locals)
-    for t, rnd in enumerate(rounds):
-        X_eps = frozenset(g for g in rnd if not isinstance(g, GSend))
-        actions = [frozenset(g for g in rnd
-                             if isinstance(g, GSend) and g.agent == i)
-                   for i in (1, 2)]
-        env = update_env(env, X_eps, actions)
-        locals_ = [update_agent(locals_[i - 1], i, actions[i - 1], X_eps)
-                   for i in (1, 2)]
+    for rnd in rounds:
+        state = apply_round(state, rnd)
+    assert state.env == tuple(rounds)
     for i in (1, 2):
-        assert replay_local(i, env, state.locals[i - 1].initial) == locals_[i - 1]
+        assert replay_local(i, state.env, ("a", "b")[i - 1]) == state.local(i)
 
 
 def test_fail_is_the_empty_byzantine_action():

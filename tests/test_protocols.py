@@ -63,6 +63,13 @@ def test_env_protocol_defaults_to_quiescence():
     assert env.span == 1
 
 
+def test_env_protocol_orders_each_menu():
+    menu = tuple(close_menu((frozenset({Sleep(2), GExternal(1, "e")}),), 2, 0))
+    ordered = EnvProtocol((menu,))(0)
+    assert sorted(ordered, key=repr) == sorted(menu, key=repr)
+    assert EnvProtocol((ordered[::-1],))(0) == ordered  # deterministic order
+
+
 def test_fault_alphabet_collects_per_agent_events():
     menu = (frozenset({Sleep(2), GExternal(1, "e")}),)
     alpha = fault_alphabet(menu, 2)
@@ -86,7 +93,6 @@ def test_close_menu_realizes_closure_properties():
                 cand = stripped | Y
                 if check_t_coherent(cand, 0):
                     assert cand in menu_set
-    assert menu == tuple(close_menu(base, 2, 0))  # deterministic order
 
 
 def test_close_menu_cap():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from byzlab.cli import main
+from byzlab.engine import seeded_run
 from byzlab.scenario import ScenarioError, load_scenario, scenario_from_json
 from byzlab.trace import TraceError, read_trace
 from tests.conftest import SCENARIO_NAMES, scenario_path
@@ -40,6 +41,14 @@ def test_scenario_errors_carry_locations(tmp_path):
         (minimal_doc(trust_table=[{"from": 1, "to": 2, "msg": "m",
                                    "formula": "correct(1)"}]), "trust_table"),
         (minimal_doc(adversary={"mode": "psychic"}), "adversary.mode"),
+        # a correct send comes from a protocol, never from a menu
+        (minimal_doc(env_protocol={"menus": [
+            {"sets": [[["go", 1], ["gsend", 1, 2, "m", 0, None]]]}]}),
+         "env_protocol.menus[0].sets[0]"),
+        (minimal_doc(agent_protocols={"1": [
+            {"guard": ["always"], "choices": [[["send", 2, "m"]],
+                                              [["ext", "e"]]]}]}),
+         "agent_protocols.1[0].choices[1]"),
     ]
     for doc, needle in cases:
         with pytest.raises(ScenarioError) as exc:
@@ -76,10 +85,14 @@ def test_cli_validate_rejects_garbage(tmp_path, capsys):
 
 def test_cli_simulate_roundtrip(tmp_path, capsys):
     out = tmp_path / "run.trace"
-    assert main(["simulate", scenario_path("s04_two_chains"),
-                 "--seed", "7", "--out", str(out)]) == 0
-    run, header = read_trace(str(out))
-    assert header["seed"] == 7 and run.horizon == 2
+    for name in SCENARIO_NAMES:
+        sc = load_scenario(scenario_path(name), name=name)
+        for seed in (0, 1, 7):
+            assert main(["simulate", scenario_path(name),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            run, header = read_trace(str(out))
+            assert header["seed"] == seed
+            assert run == seeded_run(sc.ctx, seed), (name, seed)
 
 
 def test_cli_simulate_enumerate(capsys):
@@ -133,3 +146,26 @@ def test_trace_rejects_corruption(tmp_path):
     p.write_text('{"kind":"round","t":0,"haps":[]}\n')
     with pytest.raises(TraceError):
         read_trace(str(p))
+
+
+HEADER = {"kind": "header", "version": 1, "scenario": "s", "seed": 0,
+          "agents": 3, "initials": ["s", "s", "s"]}
+
+
+@pytest.mark.parametrize("lines, lineno", [
+    ([[HEADER]], 1),
+    ([{k: v for k, v in HEADER.items() if k != "agents"}], 1),
+    ([{**HEADER, "agents": "3"}], 1),
+    ([{k: v for k, v in HEADER.items() if k != "initials"}], 1),
+    ([{**HEADER, "initials": "sss"}], 1),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 4]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["gext", 0, "e"]]}], 2),
+], ids=["header-array", "no-agents", "agents-string", "no-initials",
+        "initials-string", "agent-above-n", "agent-zero"])
+def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
+    p = tmp_path / "t.trace"
+    p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(TraceError, match=f":{lineno}: "):
+        read_trace(str(p))
+    assert main(["detect", scenario_path("s01_quiet"),
+                 "--trace", str(p)]) == 2

@@ -255,6 +255,16 @@ def main():
                      trust(1, 2, "m1", "faulty(3)", chain=(2,)),
                      trust(2, 1, "m2", "faulty(3)", chain=(1, 2))])
 
+    # Closure joins fail(3) to the byzantine send, so the f=1 budget
+    # strips both; the send's same-round delivery must die with it, or
+    # agent 1 brands a sender that stayed correct.
+    scenario(
+        "s15_stripped_send", agents=3, f=1, horizon=1,
+        menus=[
+            [[byz_send(2, 1, "bogus"), grecv(1, 2, "bogus")], []],
+        ],
+        close_at=(0,))
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -116,12 +116,15 @@ def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
     keeping them would push the count of ever-faulty agents beyond f.
 
     Sleep and hibernate brand an agent faulty just like byzantine events,
-    so they count against (and are removed with) the budget.
+    so they count against (and are removed with) the budget.  Causality
+    is checked again on the stripped set, so a delivery of a stripped
+    byzantine send dies with that send.
     """
     beta = filter_env_B(state, X_eps, alphas)
     would_be = _ever_faulty(state) | {g.agent for g in beta if is_fault_event(g)}
     if len(would_be) > f:
-        beta = frozenset(g for g in beta if not is_fault_event(g))
+        beta = filter_env_B(
+            state, frozenset(g for g in X_eps if not is_fault_event(g)), alphas)
     return beta
 
 

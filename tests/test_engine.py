@@ -82,6 +82,16 @@ def test_budget_filter_strips_excess_faults():
     assert fail(1) in out2
 
 
+def test_budget_filter_drops_delivery_of_stripped_send():
+    state = initial_state(("a", "b", "c"))
+    bogus = GSend(2, 1, "x", 0, 0)
+    d = GRecv(1, 2, "x", bogus.gmi)
+    X = frozenset({ByzAction(2, bogus, bogus), d, fail(3)})
+    assert filter_env_Bf(state, X, [frozenset()] * 3, f=1) == frozenset()
+    assert filter_env_Bf(state, X - {fail(3)}, [frozenset()] * 3, f=1) \
+        == X - {fail(3)}
+
+
 def test_budget_filter_counts_sleep():
     state = initial_state(("a", "b", "c"))
     X = frozenset({Sleep(1), fail(2)})

@@ -1,6 +1,5 @@
-from hypothesis import given, strategies as st
-
 import pytest
+from hypothesis import given, strategies as st
 
 from byzlab.haps import (
     GMI, External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send,
@@ -83,7 +82,8 @@ def test_replay_matches_incremental_update():
         state = apply_round(state, rnd)
     assert state.env == tuple(rounds)
     for i in (1, 2):
-        assert replay_local(i, state.env, ("a", "b")[i - 1]) == state.local(i)
+        assert replay_local(i, state.env, state.local(i).initial) \
+            == state.local(i)
 
 
 def test_fail_is_the_empty_byzantine_action():

@@ -3,7 +3,9 @@
 
 For every scenario under scenarios/ this enumerates the full system,
 runs the belief-gain fixpoint on every distinct local history, and
-cross-checks each verdict against the brute-force oracle.  Prints one
+cross-checks each verdict against the brute-force oracle.  `states`
+counts the distinct global states among the points, the nodes on which
+the oracle evaluates state formulas once.  Prints one
 summary row per scenario and exits non-zero on any refuted verdict.
 
     python3 scripts/run_suite.py [--scenario NAME] [--json]
@@ -35,6 +37,7 @@ def sweep(name):
         "scenario": name, "n": sc.ctx.n, "f": sc.ctx.f,
         "horizon": sc.ctx.horizon, "runs": len(runs),
         "points": len(runs) * (system.horizon + 1),
+        "states": system.nodes,
         "histories": sum(len(system.agent_classes(i))
                          for i in range(1, sc.ctx.n + 1)),
         "verdicts": len(verdicts),
@@ -59,12 +62,13 @@ def main():
         print(json.dumps(rows, indent=2))
     else:
         hdr = f"{'scenario':<22}{'n':>3}{'f':>3}{'runs':>6}{'points':>8}" \
-              f"{'verdicts':>10}{'refuted':>9}{'sec':>8}"
+              f"{'states':>8}{'verdicts':>10}{'refuted':>9}{'sec':>8}"
         print(hdr)
         print("-" * len(hdr))
         for r in rows:
             print(f"{r['scenario']:<22}{r['n']:>3}{r['f']:>3}{r['runs']:>6}"
-                  f"{r['points']:>8}{r['verdicts']:>10}{r['refuted']:>9}"
+                  f"{r['points']:>8}{r['states']:>8}{r['verdicts']:>10}"
+                  f"{r['refuted']:>9}"
                   f"{r['seconds']:>8.3f}")
     total_refuted = sum(r["refuted"] for r in rows)
     total = sum(r["verdicts"] for r in rows)

@@ -6,8 +6,8 @@ fault detectors, glued together by a scenario file format and a CLI.
 """
 
 from .atoms import (
-    Correct, Faulty, Fake, FakeHappened, Happened, Init, Occurred,
-    OccurredCorrectly, eval_atom,
+    AtomTimeError, Correct, Faulty, Fake, FakeHappened, Happened, Init,
+    Occurred, OccurredCorrectly, eval_atom,
 )
 from .chains import (
     TrustTable, extract_chains, extract_chains_all, max_disjoint,

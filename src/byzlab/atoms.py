@@ -70,28 +70,27 @@ DesignatedAtom = (Correct, Faulty, Fake, OccurredCorrectly, Occurred,
                   Happened, FakeHappened, Init)
 
 
-def _no_fault_events(run: Run, agent: AgentId, upto: Timestamp) -> bool:
-    env = run.states[upto].env
+class AtomTimeError(ValueError):
+    """An atom's time lies outside what its evaluation point admits."""
+
+
+def _no_fault_events(env: tuple, agent: AgentId, upto: Timestamp) -> bool:
     return not any(
-        is_fault_event(g) and g.agent == agent for rnd in env for g in rnd)
+        is_fault_event(g) and g.agent == agent for rnd in env[:upto] for g in rnd)
 
 
-def _fake_reason(run: Run, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
+def _fake_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
     # A byzantine perception reason for o in round (t-1)-and-a-half.
-    if t < 1 or t > run.horizon:
-        return False
-    for g in run.states[t].env[t - 1]:
+    for g in env[t - 1]:
         if isinstance(g, (ByzAction, ByzEvent)) and g.agent == agent:
             if localize(g) == o:
                 return True
     return False
 
 
-def _correct_reason(run: Run, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
+def _correct_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
     # A correct perception reason: delivered/external event or own action.
-    if t < 1 or t > run.horizon:
-        return False
-    for g in run.states[t].env[t - 1]:
+    for g in env[t - 1]:
         if isinstance(g, (GRecv, GExternal, GSend)) and g.agent == agent:
             if localize(g) == o:
                 return True
@@ -101,40 +100,47 @@ def _correct_reason(run: Run, agent: AgentId, t: Timestamp, o: LocalHap) -> bool
 def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
     """Evaluate a designated atom at (run, t_eval).
 
-    Raises ValueError when t_eval or an explicit time parameter is out of
-    the admissible range.
+    Reads only the state at t_eval (its environment prefix and the
+    initial states of its local histories), so points that share a state
+    share every atom's value.  Raises AtomTimeError when t_eval or an
+    explicit time parameter is out of the admissible range.
     """
     if not 0 <= t_eval <= run.horizon:
-        raise ValueError(f"evaluation time {t_eval} outside run horizon")
+        raise AtomTimeError(f"evaluation time {t_eval} outside run horizon")
+    state = run.states[t_eval]
+    env = state.env
 
     if isinstance(atom, (Correct, Faulty)):
         t = t_eval if atom.at is None else atom.at
         if not 0 <= t <= t_eval:
-            raise ValueError(f"atom time {t} exceeds evaluation time {t_eval}")
-        ok = _no_fault_events(run, atom.agent, t)
+            raise AtomTimeError(
+                f"atom time {t} exceeds evaluation time {t_eval}")
+        ok = _no_fault_events(env, atom.agent, t)
         return ok if isinstance(atom, Correct) else not ok
 
     if isinstance(atom, Fake):
         if not 1 <= atom.at <= t_eval:
-            raise ValueError(f"atom time {atom.at} exceeds evaluation time")
-        return _fake_reason(run, atom.agent, atom.at, atom.hap)
+            raise AtomTimeError(
+                f"atom time {atom.at} exceeds evaluation time {t_eval}")
+        return _fake_reason(env, atom.agent, atom.at, atom.hap)
 
     if isinstance(atom, OccurredCorrectly):
         agents = [atom.agent] if atom.agent is not None else \
-            range(1, len(run.states[0].locals) + 1)
+            range(1, len(state.locals) + 1)
         if atom.at is not None:
             if not 1 <= atom.at <= t_eval:
-                raise ValueError(f"atom time {atom.at} exceeds evaluation time")
+                raise AtomTimeError(
+                    f"atom time {atom.at} exceeds evaluation time {t_eval}")
             times = [atom.at]
         else:
             times = range(1, t_eval + 1)
-        return any(_correct_reason(run, i, m, atom.hap)
+        return any(_correct_reason(env, i, m, atom.hap)
                    for i in agents for m in times)
 
     if isinstance(atom, Occurred):
         return any(
-            _correct_reason(run, atom.agent, m, atom.hap)
-            or _fake_reason(run, atom.agent, m, atom.hap)
+            _correct_reason(env, atom.agent, m, atom.hap)
+            or _fake_reason(env, atom.agent, m, atom.hap)
             for m in range(1, t_eval + 1))
 
     if isinstance(atom, (Happened, FakeHappened)):
@@ -142,8 +148,7 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
         # t_eval - 1, i.e. rounds strictly before the previous timestamp.
         if t_eval == 0:
             return False
-        env = run.states[t_eval - 1].env
-        for rnd in env:
+        for rnd in env[:t_eval - 1]:
             for g in rnd:
                 if isinstance(g, GSend) and g.agent == atom.agent \
                         and not isinstance(atom, FakeHappened):
@@ -156,6 +161,6 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
         return False
 
     if isinstance(atom, Init):
-        return run.states[0].local(atom.agent).initial == atom.state
+        return state.local(atom.agent).initial == atom.state
 
     raise TypeError(f"not a designated atom: {atom!r}")

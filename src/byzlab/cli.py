@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from .atoms import AtomTimeError
 from .chains import PackingCapExceeded
 from .detect import (
     DetectionInput, belief_who_is_faulty, cross_check, group_occurrence_belief,
@@ -137,7 +138,11 @@ def cmd_check(args) -> int:
             phi = parse_formula(args.formula, n=sc.ctx.n)
         except ValueError as e:
             raise ScenarioError("--formula", str(e))
-        verdicts, warning = system.check(phi)
+        try:
+            verdicts, warning = system.check(phi)
+        except AtomTimeError as e:
+            raise ScenarioError(
+                "--formula", f"{args.formula!r} cannot be evaluated: {e}")
         true_pts = [p for p, v in verdicts if v]
         out["formula"] = args.formula
         out["true_at"] = len(true_pts)

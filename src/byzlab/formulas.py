@@ -14,6 +14,7 @@ Textual syntax (used in scenario files and the CLI):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -108,9 +109,11 @@ def nested_hope(sigma: Sequence[AgentId], phi: Formula) -> Formula:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def group_occurrence_formula(n: AgentId, k: int, hap: LocalHap) -> Formula:
     """Some k agents each forever correct and believing the correct
-    occurrence of `hap`."""
+    occurrence of `hap`.  Cached: detection asks for the same C(n, k)-way
+    disjunction on every history, and formulas are immutable."""
     disjuncts = []
     for G in itertools.combinations(range(1, n + 1), k):
         disjuncts.append(conj([

@@ -6,19 +6,33 @@ The box operator quantifies over the remaining timestamps of the same
 run, so its verdicts are relative to the bounded horizon; `check` flags
 formulas whose truth could shift with a longer horizon when the final
 round still offers activity.
+
+Each formula is compiled once into a table of subformula ids, shared by
+structure across every formula the system sees.  Points that hold the
+same `GlobalState` object form one node (enumeration shares prefix
+states between runs), and a subformula whose value is a function of the
+state is evaluated once per node.  Only `G` and custom propositions
+outside any `K` depend on the point itself and are kept per point;
+knowledge is kept per history of its agent.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .atoms import Correct, eval_atom
+from .atoms import AtomTimeError, Correct, eval_atom
 from .formulas import (
     Always, And, Atom, Believe, Formula, Hope, Implies, Know, Not, Or,
 )
 from .haps import AgentId, LocalHistory, Run, Timestamp
 
 Point = Tuple[int, Timestamp]  # (run index, time)
+
+# Kinds of compiled subformulas.  A table row is (kind, a, b, per_point):
+# a and b are subformula ids, except ATOM (a = designated atom), PROP
+# (a = proposition name) and KNOW (a = agent).
+ATOM, PROP, NOT, AND, OR, IMPLIES, KNOW, ALWAYS = range(8)
+_BINARY = {And: AND, Or: OR, Implies: IMPLIES}
 
 
 class UnknownProposition(ValueError):
@@ -34,8 +48,18 @@ class InterpretedSystem:
         self.horizon = runs[0].horizon if runs else 0
         self.valuation = {p: frozenset(pts) for p, (pts) in (valuation or {}).items()}
         self.quiescent = quiescent
-        self._memo: Dict[tuple, bool] = {}
+        self._table: List[tuple] = []         # subformula id -> row
+        self._ids: Dict[tuple, int] = {}      # row -> subformula id
+        self._memo: List[dict] = []           # subformula id -> key -> value
         self._classes: Dict[AgentId, Dict[LocalHistory, List[Point]]] = {}
+        # agent -> (node -> class index, class index -> its points, class
+        # index -> the first point of each distinct node in the class)
+        self._class_index: Dict[AgentId, tuple] = {}
+        node_of: Dict[int, int] = {}  # id of a GlobalState -> its node
+        # run index -> t -> node
+        self._node_at = [[node_of.setdefault(id(state), len(node_of))
+                          for state in run.states] for run in self.runs]
+        self.nodes = len(node_of)  # distinct states among the points
 
     # -- points ------------------------------------------------------------
 
@@ -50,59 +74,120 @@ class InterpretedSystem:
 
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
-            classes: Dict[LocalHistory, List[Point]] = {}
-            for p in self.points():
-                classes.setdefault(self.local_at(p, agent), []).append(p)
-            self._classes[agent] = classes
+            ids: Dict[LocalHistory, int] = {}
+            members: List[List[Point]] = []
+            firsts: List[List[Point]] = []
+            index = [-1] * self.nodes
+            for ridx, nodes in enumerate(self._node_at):
+                for t, node in enumerate(nodes):
+                    k = index[node]
+                    if k < 0:
+                        h = self.runs[ridx].states[t].locals[agent - 1]
+                        k = index[node] = ids.setdefault(h, len(ids))
+                        if k == len(members):
+                            members.append([])
+                            firsts.append([])
+                        firsts[k].append((ridx, t))
+                    members[k].append((ridx, t))
+            self._classes[agent] = dict(zip(ids, members))
+            self._class_index[agent] = (index, members, firsts)
         return self._classes[agent]
+
+    # -- compilation -------------------------------------------------------
+
+    def _row(self, kind: int, a, b=None) -> int:
+        key = (kind, a, b)
+        fid = self._ids.get(key)
+        if fid is None:
+            if kind in (NOT, ALWAYS):
+                per_point = kind == ALWAYS or self._table[a][3]
+            elif kind in (AND, OR, IMPLIES):
+                per_point = self._table[a][3] or self._table[b][3]
+            else:
+                per_point = kind == PROP
+            fid = self._ids[key] = len(self._table)
+            self._table.append((kind, a, b, per_point))
+            self._memo.append({})
+        return fid
+
+    def _belief(self, agent: AgentId, sub: int) -> int:
+        # B_i phi = K_i(correct(i) -> phi)
+        return self._row(KNOW, agent,
+                         self._row(IMPLIES, self._row(ATOM, Correct(agent)), sub))
+
+    def _compile(self, phi: Formula) -> int:
+        if isinstance(phi, Atom):
+            if isinstance(phi.prop, str):
+                return self._row(PROP, phi.prop)
+            return self._row(ATOM, phi.prop)
+        if isinstance(phi, Not):
+            return self._row(NOT, self._compile(phi.sub))
+        if type(phi) in _BINARY:
+            return self._row(_BINARY[type(phi)], self._compile(phi.left),
+                             self._compile(phi.right))
+        if isinstance(phi, Know):
+            return self._row(KNOW, phi.agent, self._compile(phi.sub))
+        if isinstance(phi, Believe):
+            return self._belief(phi.agent, self._compile(phi.sub))
+        if isinstance(phi, Hope):
+            # H_i phi = correct(i) -> B_i phi
+            return self._row(IMPLIES, self._row(ATOM, Correct(phi.agent)),
+                             self._belief(phi.agent, self._compile(phi.sub)))
+        if isinstance(phi, Always):
+            return self._row(ALWAYS, self._compile(phi.sub))
+        raise TypeError(f"not a formula: {phi!r}")
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, p: Point, phi: Formula) -> bool:
-        key = (phi, p)
-        if key in self._memo:
-            return self._memo[key]
-        out = self._eval(p, phi)
-        self._memo[key] = out
-        return out
-
-    def _eval(self, p: Point, phi: Formula) -> bool:
+    def _point(self, p: Point) -> Point:
         ridx, t = p
-        if isinstance(phi, Atom):
-            if isinstance(phi.prop, str):
-                if phi.prop not in self.valuation:
-                    raise UnknownProposition(
-                        f"no valuation for proposition {phi.prop!r}")
-                return p in self.valuation[phi.prop]
-            return eval_atom(self.runs[ridx], t, phi.prop)
-        if isinstance(phi, Not):
-            return not self.eval(p, phi.sub)
-        if isinstance(phi, And):
-            return self.eval(p, phi.left) and self.eval(p, phi.right)
-        if isinstance(phi, Or):
-            return self.eval(p, phi.left) or self.eval(p, phi.right)
-        if isinstance(phi, Implies):
-            return (not self.eval(p, phi.left)) or self.eval(p, phi.right)
-        if isinstance(phi, Know):
-            return self._know(phi.agent, phi.sub, self.local_at(p, phi.agent))
-        if isinstance(phi, Believe):
-            return self._know(
-                phi.agent, Implies(Atom(Correct(phi.agent)), phi.sub),
-                self.local_at(p, phi.agent))
-        if isinstance(phi, Hope):
-            return self.eval(
-                p, Implies(Atom(Correct(phi.agent)), Believe(phi.agent, phi.sub)))
-        if isinstance(phi, Always):
-            return all(self.eval((ridx, u), phi.sub)
-                       for u in range(t, self.horizon + 1))
-        raise TypeError(f"not a formula: {phi!r}")
+        if not (0 <= ridx < len(self.runs) and 0 <= t <= self.horizon):
+            raise ValueError(f"point {p} outside the system")
+        return p
 
-    def _know(self, agent: AgentId, phi: Formula, h: LocalHistory) -> bool:
-        key = ("K", agent, phi, h)
-        if key in self._memo:
-            return self._memo[key]
-        out = all(self.eval(q, phi) for q in self.agent_classes(agent)[h])
-        self._memo[key] = out
+    def eval(self, p: Point, phi: Formula) -> bool:
+        return self._value(self._compile(phi), *self._point(p))
+
+    def _value(self, fid: int, ridx: int, t: Timestamp) -> bool:
+        kind, a, b, per_point = self._table[fid]
+        node = self._node_at[ridx][t]
+        if kind == KNOW:
+            if a not in self._class_index:
+                self.agent_classes(a)
+            index, members, firsts = self._class_index[a]
+            key = index[node]
+        else:
+            key = (ridx, t) if per_point else node
+        memo = self._memo[fid]
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if kind == ATOM:
+            try:
+                out = eval_atom(self.runs[ridx], t, a)
+            except AtomTimeError as e:
+                raise AtomTimeError(f"{e} at run {ridx}, t={t}") from None
+        elif kind == PROP:
+            if a not in self.valuation:
+                raise UnknownProposition(f"no valuation for proposition {a!r}")
+            out = (ridx, t) in self.valuation[a]
+        elif kind == NOT:
+            out = not self._value(a, ridx, t)
+        elif kind == AND:
+            out = self._value(a, ridx, t) and self._value(b, ridx, t)
+        elif kind == OR:
+            out = self._value(a, ridx, t) or self._value(b, ridx, t)
+        elif kind == IMPLIES:
+            out = (not self._value(a, ridx, t)) or self._value(b, ridx, t)
+        elif kind == KNOW:
+            # a class visits each node at its first point only, unless
+            # the subformula depends on the point itself
+            pts = members[key] if self._table[b][3] else firsts[key]
+            out = all(self._value(b, r, u) for r, u in pts)
+        else:  # ALWAYS
+            out = all(self._value(a, ridx, u)
+                      for u in range(t, self.horizon + 1))
+        memo[key] = out
         return out
 
     def check(self, phi: Formula, p: Optional[Point] = None):
@@ -111,17 +196,19 @@ class InterpretedSystem:
         if not self.quiescent and _mentions_always(phi):
             warning = ("formula contains G and the final round is not "
                        "quiescent; its value may differ on a longer horizon")
-        pts = [p] if p is not None else list(self.points())
-        return [(q, self.eval(q, phi)) for q in pts], warning
+        fid = self._compile(phi)
+        pts = [self._point(p)] if p is not None else list(self.points())
+        return [(q, self._value(fid, *q)) for q in pts], warning
 
     # -- verification sweeps ------------------------------------------------
 
     def verify_persistent(self, phi: Formula):
         """(True, None) or (False, (run index, t, t')) with a violation."""
+        fid = self._compile(phi)
         for ridx in range(len(self.runs)):
             first_true = None
             for t in range(self.horizon + 1):
-                val = self.eval((ridx, t), phi)
+                val = self._value(fid, ridx, t)
                 if val and first_true is None:
                     first_true = t
                 if not val and first_true is not None:
@@ -135,18 +222,13 @@ class InterpretedSystem:
         from .haps import Send
         violations = []
         for (j, i, msg), entry in sorted(trust.entries.items()):
-            psi = certified_formula(entry)
-            checked = set()
-            for p in self.points():
-                h = self.local_at(p, j)
-                if h in checked:
-                    continue
-                checked.add(h)
+            fid = self._compile(Believe(j, certified_formula(entry)))
+            for h, pts in self.agent_classes(j).items():
                 offers = protocols[j - 1](h)
                 if any(any(isinstance(a, Send) and a.to == i and a.msg == msg
                            for a in D) for D in offers):
-                    if not self.eval(p, Believe(j, psi)):
-                        violations.append((j, i, msg, p))
+                    if not self._value(fid, *pts[0]):
+                        violations.append((j, i, msg, pts[0]))
         return violations
 
 

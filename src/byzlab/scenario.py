@@ -51,16 +51,27 @@ class Scenario:
     seed: int
 
 
+# guard operator -> number of arguments; "all" and "any" take any number
+_GUARD_ARITY = {"always": 0, "self_faulty": 0, "received": 2, "sent": 2,
+                "observed": 1, "initial": 1, "active_at_least": 1, "not": 1}
+
+
 def _guard_from_json(v, where: str) -> tuple:
     if not isinstance(v, list) or not v:
         raise ScenarioError(where, "guard must be a non-empty array")
     op = v[0]
+    if op in _GUARD_ARITY and len(v) != 1 + _GUARD_ARITY[op]:
+        raise ScenarioError(
+            where, f"guard {op!r} takes {_GUARD_ARITY[op]} argument(s)")
     if op in ("always", "self_faulty"):
         return (op,)
     if op in ("received", "sent"):
         return (op, v[1], v[2])
     if op == "observed":
-        return (op, local_from_json(v[1]))
+        try:
+            return (op, local_from_json(v[1]))
+        except (ValueError, TypeError, IndexError) as e:
+            raise ScenarioError(where, f"bad hap: {e}")
     if op in ("initial", "active_at_least"):
         return (op, v[1])
     if op == "not":
@@ -120,6 +131,9 @@ def scenario_from_json(doc: dict, name: str,
         initials.append(tuple(str(s) for s in joint))
 
     raw_prots = doc.get("agent_protocols", {})
+    if not isinstance(raw_prots, dict):
+        raise ScenarioError("agent_protocols",
+                            "must map agent ids to rule lists")
     protocols = []
     for i in range(1, n + 1):
         rules_doc = raw_prots.get(str(i))
@@ -127,21 +141,28 @@ def scenario_from_json(doc: dict, name: str,
         if rules_doc is None:
             # no table: the agent idles, every round
             rules_doc = [{"guard": ["always"], "choices": [[]]}]
+        if not isinstance(rules_doc, list):
+            raise ScenarioError(where, "need a list of rules")
         rules = []
         for k, rd in enumerate(rules_doc):
             rw = f"{where}[{k}]"
+            if not isinstance(rd, dict):
+                raise ScenarioError(rw, "a rule must be an object")
             guard = _guard_from_json(rd.get("guard", ["always"]), rw + ".guard")
             choices_doc = rd.get("choices")
             if not isinstance(choices_doc, list) or not choices_doc:
                 raise ScenarioError(rw + ".choices",
                                     "need a non-empty list of action sets")
-            choices = tuple(
-                frozenset(local_from_json(a) for a in D) for D in choices_doc)
-            for m, D in enumerate(choices):
-                if not all(isinstance(a, Send) for a in D):
+            choices = []
+            for m, D in enumerate(choices_doc):
+                try:
+                    choices.append(frozenset(local_from_json(a) for a in D))
+                except (ValueError, TypeError, IndexError) as e:
+                    raise ScenarioError(f"{rw}.choices[{m}]", f"bad hap: {e}")
+                if not all(isinstance(a, Send) for a in choices[-1]):
                     raise ScenarioError(f"{rw}.choices[{m}]",
                                         "choices hold sends only")
-            rules.append(Rule(guard, choices))
+            rules.append(Rule(guard, tuple(choices)))
         if not any(r.guard == ("always",) for r in rules):
             rules.append(Rule(("always",), (frozenset(),)))
         protocols.append(AgentProtocol(i, tuple(rules)))
@@ -161,9 +182,9 @@ def scenario_from_json(doc: dict, name: str,
             except (ValueError, TypeError, IndexError) as e:
                 raise ScenarioError(f"{where}.sets[{k}]", f"bad hap: {e}")
             for g in X:
-                if not (1 <= g.agent <= n):
+                if not (isinstance(g.agent, int) and 1 <= g.agent <= n):
                     raise ScenarioError(f"{where}.sets[{k}]",
-                                        f"agent {g.agent} out of range 1..{n}")
+                                        f"agent {g.agent!r} out of range 1..{n}")
                 if not is_event(g):
                     raise ScenarioError(f"{where}.sets[{k}]",
                                         "menus hold events only")
@@ -193,8 +214,11 @@ def scenario_from_json(doc: dict, name: str,
         for a in (sender, receiver):
             if not isinstance(a, int) or not (1 <= a <= n):
                 raise ScenarioError(where, f"agent {a!r} out of range 1..{n}")
+        text = ed.get("formula")
+        if not isinstance(text, str):
+            raise ScenarioError(where + ".formula", "need a formula string")
         try:
-            phi = parse_formula(ed["formula"], n=n)
+            phi = parse_formula(text, n=n)
         except ValueError as e:
             raise ScenarioError(where + ".formula", str(e))
         chain = tuple(ed.get("chain", []))

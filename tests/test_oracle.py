@@ -1,11 +1,13 @@
 import pytest
 
-from byzlab.atoms import Correct, Faulty, Occurred
+from byzlab.atoms import AtomTimeError, Correct, Faulty, Occurred, eval_atom
 from byzlab.formulas import (
-    Always, Atom, Believe, Hope, Implies, Know, Not, parse_formula,
+    Always, And, Atom, Believe, Hope, Implies, Know, Not, Or, parse_formula,
 )
-from byzlab.haps import Recv
+from byzlab.haps import External, Recv, Send
 from byzlab.oracle import InterpretedSystem, UnknownProposition
+from byzlab.serial import local_key
+from tests.conftest import SCENARIO_NAMES
 
 
 def system(suite, name):
@@ -107,3 +109,132 @@ def test_trust_table_verification_catches_eager_senders(suite):
     eager[1] = AgentProtocol(2, (
         Rule(("always",), (frozenset({Send(1, "alert3")}),)),))
     assert sysm.verify_trust_table(sc.trust, tuple(eager))
+
+
+class Reference:
+    """The uncompiled evaluator: memo per (formula, point), belief and
+    hope unfolded at every call, classes gathered through `points()` and
+    `local_at`.  Tests compare `InterpretedSystem` against it."""
+
+    def __init__(self, system):
+        self.system = system
+        self.memo = {}
+        self.classes = {}
+
+    def agent_classes(self, agent):
+        if agent not in self.classes:
+            classes = {}
+            for p in self.system.points():
+                classes.setdefault(self.system.local_at(p, agent), []).append(p)
+            self.classes[agent] = classes
+        return self.classes[agent]
+
+    def eval(self, p, phi):
+        key = (phi, p)
+        if key not in self.memo:
+            self.memo[key] = self._eval(p, phi)
+        return self.memo[key]
+
+    def _eval(self, p, phi):
+        ridx, t = p
+        if isinstance(phi, Atom):
+            if isinstance(phi.prop, str):
+                if phi.prop not in self.system.valuation:
+                    raise UnknownProposition(phi.prop)
+                return p in self.system.valuation[phi.prop]
+            return eval_atom(self.system.runs[ridx], t, phi.prop)
+        if isinstance(phi, Not):
+            return not self.eval(p, phi.sub)
+        if isinstance(phi, And):
+            return self.eval(p, phi.left) and self.eval(p, phi.right)
+        if isinstance(phi, Or):
+            return self.eval(p, phi.left) or self.eval(p, phi.right)
+        if isinstance(phi, Implies):
+            return (not self.eval(p, phi.left)) or self.eval(p, phi.right)
+        if isinstance(phi, Know):
+            return self._know(phi.agent, phi.sub,
+                              self.system.local_at(p, phi.agent))
+        if isinstance(phi, Believe):
+            return self._know(
+                phi.agent, Implies(Atom(Correct(phi.agent)), phi.sub),
+                self.system.local_at(p, phi.agent))
+        if isinstance(phi, Hope):
+            return self.eval(
+                p, Implies(Atom(Correct(phi.agent)), Believe(phi.agent, phi.sub)))
+        if isinstance(phi, Always):
+            return all(self.eval((ridx, u), phi.sub)
+                       for u in range(t, self.system.horizon + 1))
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def _know(self, agent, phi, h):
+        key = ("K", agent, phi, h)
+        if key not in self.memo:
+            self.memo[key] = all(self.eval(q, phi)
+                                 for q in self.agent_classes(agent)[h])
+        return self.memo[key]
+
+
+def _hap_text(o):
+    if isinstance(o, Recv):
+        return f"recv({o.frm},{o.msg})"
+    if isinstance(o, Send):
+        return f"send({o.to},{o.msg},{o.copy})"
+    return f"ext({o.event})"
+
+
+# Every atom kind; nested K/B/H; G under and over K; kgroup; a custom
+# proposition, alone and under K and G.  J and HAP name an agent and a
+# hap it records in the system; S is agent 1's initial state.  The last
+# group has atom times some points cannot admit.
+REFERENCE_FORMULAS = [
+    "correct(1)", "faulty(2)", "correct(3,0)", "occ_c(HAP)", "occ_c(J,HAP)",
+    "occ(J,HAP)", "happened(J,HAP)", "fhappened(J,HAP)", "init(1,S)",
+    "K[1](B[2](faulty(3)))", "H[1](H[J](occ(J,HAP)))",
+    "B[1]((!K[2](correct(2)) | faulty(1)))", "(H[2](faulty(1)) -> correct(2))",
+    "K[1](G(correct(1)))", "B[2](G(!faulty(3)))",
+    "G(K[1](occ_c(HAP)))", "G((B[J](faulty(2)) -> faulty(2)))",
+    "kgroup(1,HAP)", "kgroup(2,HAP)", "B[3](kgroup(1,HAP))",
+    "p", "K[1](p)", "G((p | faulty(1)))", "(p & B[1](faulty(2)))",
+    "faulty(2,1)", "fake(J,1,HAP)", "occ_c(J,1,HAP)", "K[1](fake(J,1,HAP))",
+    "G(correct(1,2))", "(faulty(1) -> occ_c(J,2,HAP))",
+]
+
+
+def _outcome(evaluate, p, phi):
+    try:
+        return evaluate(p, phi)
+    except ValueError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_oracle_matches_reference_evaluator(suite, name):
+    sc, runs, _ = suite[name]
+    n = sc.ctx.n
+    recorded = {(local_key(o), i): o for r in runs for i in range(1, n + 1)
+                for rnd in r.local(i, r.horizon).rounds for o in rnd}
+    (_, j), hap = min(recorded.items()) if recorded else \
+        ((None, 1), External("e"))
+    initial = runs[0].local(1, 0).initial
+    # p is true on even runs, so points that share a state can disagree
+    valuation = {"p": [(r, t) for r in range(0, len(runs), 2)
+                       for t in range(runs[0].horizon + 1)]}
+    system = InterpretedSystem(runs, valuation=valuation)
+    ref = Reference(InterpretedSystem(runs, valuation=valuation))
+    for i in range(1, n + 1):
+        assert system.agent_classes(i) == ref.agent_classes(i)
+    raised = set()
+    for text in REFERENCE_FORMULAS:
+        phi = parse_formula(text.replace("J", str(j)).replace("S", initial)
+                            .replace("HAP", _hap_text(hap)), n=n)
+        want = [(p, _outcome(ref.eval, p, phi)) for p in system.points()]
+        got = [(p, _outcome(system.eval, p, phi)) for p in system.points()]
+        assert got == want, text
+        assert all(v is AtomTimeError for _, v in got
+                   if not isinstance(v, bool)), text
+        if all(isinstance(v, bool) for _, v in want):
+            assert InterpretedSystem(runs, valuation=valuation).check(phi)[0] \
+                == want, text
+        else:
+            raised.add(text)
+    assert raised >= {"faulty(2,1)", "fake(J,1,HAP)", "K[1](fake(J,1,HAP))"}

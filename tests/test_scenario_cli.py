@@ -56,6 +56,48 @@ def test_scenario_errors_carry_locations(tmp_path):
         assert needle in str(exc.value), doc
 
 
+def _relay_choice(doc):
+    doc["agent_protocols"]["2"][0]["choices"] = [[["zzz", 2]]]
+
+
+def _relay_menu_hap(doc):
+    doc["env_protocol"]["menus"][1]["sets"][0] = [["go", "x"]]
+
+
+def _relay_protocol_list(doc):
+    doc["agent_protocols"] = [doc["agent_protocols"]["2"]]
+
+
+def _relay_short_guard(doc):
+    doc["agent_protocols"]["2"][0]["guard"] = ["received"]
+
+
+def _relay_no_formula(doc):
+    del doc["trust_table"][0]["formula"]
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_relay_choice, "agent_protocols.2[0].choices[0]"),
+    (_relay_menu_hap, "env_protocol.menus[1].sets[0]"),
+    (_relay_protocol_list, "agent_protocols"),
+    (_relay_short_guard, "agent_protocols.2[0].guard"),
+    (_relay_no_formula, "trust_table[0].formula"),
+], ids=["choice-kind", "menu-agent", "protocols-list", "guard-arity",
+        "trust-formula"])
+def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
+                                               where):
+    with open(scenario_path("s05_relay")) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_json(doc, "relay")
+    assert exc.value.where == where
+    p = tmp_path / "relay.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert f"error: {where}: " in capsys.readouterr().err
+
+
 def test_bad_json_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
@@ -122,6 +164,14 @@ def test_cli_check_formula(capsys):
     assert report["true_at"] >= 1
     assert main(["check", scenario_path("s02_obvious"),
                  "--formula", "faulty(("]) == 2
+
+
+def test_cli_check_names_an_inadmissible_atom_time(capsys):
+    # faulty(4,2) asks about time 2, which no point at t < 2 admits
+    assert main(["check", scenario_path("s05_relay"),
+                 "--formula", "faulty(4,2)"]) == 2
+    err = capsys.readouterr().err
+    assert "'faulty(4,2)'" in err and "at run 0, t=0" in err
 
 
 def test_cli_check_against_detection(capsys):

@@ -69,12 +69,14 @@ def dir_notif_faulty(h_i: LocalHistory, i: AgentId,
 
 
 def self_check_faulty(h_i: LocalHistory, i: AgentId, protocol) -> bool:
-    """True when some recorded action was never on offer at its prefix."""
+    """True when some recorded action was never on offer at its prefix.
+    Prefix m is reached only when no earlier round failed, so the protocol
+    is told it is not self-faulty there: one call per sending round."""
     for m in range(h_i.active_rounds):
         actions = [a for a in h_i.rounds[m] if isinstance(a, Send)]
         if not actions:
             continue
-        offered = protocol(h_i.prefix(m))
+        offered = protocol(h_i.prefix(m), self_faulty=False)
         for a in actions:
             if all(a not in D for D in offered):
                 return True

@@ -9,11 +9,12 @@ resolves each choice point deterministically from a seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .haps import (
-    AgentId, ByzAction, ByzEvent, GExternal, GRecv, GSend,
+    FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GRecv,
     GlobalState, Go, Hib, Run, Sleep, Timestamp, apply_round, fail,
     globalize, initial_state, is_fault_event,
 )
@@ -79,15 +80,6 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
 # ---------------------------------------------------------------------------
 # Filters
 
-def _sends_in_history(state: GlobalState):
-    for rnd in state.env:
-        for g in rnd:
-            if isinstance(g, GSend):
-                yield g
-            elif isinstance(g, ByzAction) and g.performed is not None:
-                yield g.performed
-
-
 def _sends_in_round(X_eps: frozenset, alphas):
     for X_i in alphas:
         yield from X_i
@@ -98,16 +90,11 @@ def _sends_in_round(X_eps: frozenset, alphas):
 
 def filter_env_B(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
     """Causality filter: drop correct deliveries with no matching send."""
-    issued = {s.gmi for s in _sends_in_history(state)}
-    issued |= {s.gmi for s in _sends_in_round(X_eps, alphas)}
-    return frozenset(
-        g for g in X_eps
-        if not isinstance(g, GRecv) or g.gmi in issued)
-
-
-def _ever_faulty(state: GlobalState) -> frozenset:
-    return frozenset(g.agent for rnd in state.env for g in rnd
-                     if is_fault_event(g))
+    unsent = [g for g in X_eps if isinstance(g, GRecv) and g.gmi not in state.sent]
+    if not unsent:
+        return X_eps
+    issued = {s.gmi for s in _sends_in_round(X_eps, alphas)}
+    return X_eps.difference(g for g in unsent if g.gmi not in issued)
 
 
 def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
@@ -121,17 +108,12 @@ def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
     byzantine send dies with that send.
     """
     beta = filter_env_B(state, X_eps, alphas)
-    would_be = _ever_faulty(state) | {g.agent for g in beta if is_fault_event(g)}
+    would_be = state.faulty.union(
+        g.agent for g in beta if isinstance(g, FAULT_KINDS))
     if len(would_be) > f:
-        beta = filter_env_B(
-            state, frozenset(g for g in X_eps if not is_fault_event(g)), alphas)
+        beta = filter_env_B(state, frozenset(
+            g for g in X_eps if not isinstance(g, FAULT_KINDS)), alphas)
     return beta
-
-
-def filter_action_std(agent: AgentId, alphas, beta_eps: frozenset) -> frozenset:
-    """Standard action filter: actions pass only when go(i) was granted."""
-    X_i = alphas[agent - 1]
-    return X_i if Go(agent) in beta_eps else frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +126,19 @@ def _materialize(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
     delivered to i, falling back to the earliest matching send at all.
     Unresolvable templates stay unresolved and die in the causality filter.
     """
-    out = set()
-    delivered = {g.gmi for rnd in state.env for g in rnd
-                 if isinstance(g, GRecv) and g.gmi is not None}
+    templates = [g for g in X_eps if isinstance(g, GRecv) and g.gmi is None]
+    if not templates:
+        return X_eps
     candidates = sorted(
-        set(_sends_in_history(state)) | set(_sends_in_round(X_eps, alphas)),
-        key=lambda s: (s.sent_at, s.copy, s.agent, s.to, s.msg))
-    for g in X_eps:
-        if isinstance(g, GRecv) and g.gmi is None:
-            matches = [s for s in candidates
-                       if s.agent == g.frm and s.to == g.agent and s.msg == g.msg]
-            fresh = [s for s in matches if s.gmi not in delivered]
-            pick = (fresh or matches or [None])[0]
-            if pick is not None:
-                out.add(GRecv(g.agent, g.frm, g.msg, pick.gmi))
-            else:
-                out.add(g)
-        else:
-            out.add(g)
+        state.sent.union(s.gmi for s in _sends_in_round(X_eps, alphas)),
+        key=lambda m: (m.sent_at, m.copy, m.sender, m.receiver, m.msg))
+    out = set(X_eps.difference(templates))
+    for g in templates:
+        matches = [m for m in candidates
+                   if m.sender == g.frm and m.receiver == g.agent and m.msg == g.msg]
+        fresh = [m for m in matches if m not in state.delivered]
+        pick = (fresh or matches or [None])[0]
+        out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick))
     return frozenset(out)
 
 
@@ -179,8 +156,8 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
                 raise ValueError(f"agent {i} choice outside protocol range")
 
     # Labeling: local actions to global format with GMIs.
-    alphas = [frozenset(globalize(i, t, a) for a in agent_choices[i - 1])
-              for i in range(1, ctx.n + 1)]
+    alphas = [frozenset(globalize(i, t, a) for a in X) if X else frozenset()
+              for i, X in enumerate(agent_choices, start=1)]
     alpha_eps = _materialize(state, env_choice, alphas)
 
     # Event filtering.
@@ -189,11 +166,9 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
     else:
         beta_eps = filter_env_B(state, alpha_eps, alphas)
 
-    # Action filtering.
-    betas = [filter_action_std(i, alphas, beta_eps) for i in range(1, ctx.n + 1)]
-
-    # Updating.
-    return apply_round(state, beta_eps.union(*betas))
+    # Action filtering, then updating: actions pass when go(i) was granted.
+    return apply_round(state, beta_eps.union(
+        *(alphas[g.agent - 1] for g in beta_eps if isinstance(g, Go))))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +193,9 @@ def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:
             runs.append(Run(tuple(prefix)))
             return
         env_opts, agent_opts = _choice_space(ctx, prefix[-1], t)
+        combos = list(itertools.product(*agent_opts))
         for env_choice in env_opts:
-            for combo in _product(agent_opts):
+            for combo in combos:
                 explored += 1
                 if explored > cap:
                     raise CapExceeded(
@@ -234,16 +210,6 @@ def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:
     return runs
 
 
-def _product(option_lists):
-    if not option_lists:
-        yield []
-        return
-    head, *rest = option_lists
-    for opt in head:
-        for tail in _product(rest):
-            yield [opt] + tail
-
-
 def count_choice_tree(ctx: AgentContext) -> int:
     """Independent recursive count of adversary choice-tree leaves."""
     def count(state: GlobalState, t: Timestamp) -> int:
@@ -252,7 +218,7 @@ def count_choice_tree(ctx: AgentContext) -> int:
         env_opts, agent_opts = _choice_space(ctx, state, t)
         total = 0
         for env_choice in env_opts:
-            for combo in _product(agent_opts):
+            for combo in itertools.product(*agent_opts):
                 total += count(step(ctx, state, t, env_choice, combo,
                                     validate=False), t + 1)
         return total

@@ -224,7 +224,7 @@ class _Parser:
         if tok in ("K", "B", "H"):
             self.take()
             self.take("[")
-            agent = self._int()
+            agent = self._agent()
             self.take("]")
             self.take("(")
             sub = self.implication()
@@ -249,17 +249,24 @@ class _Parser:
             raise FormulaSyntaxError(f"expected integer, found {tok!r}")
         return int(tok)
 
+    def _agent(self) -> AgentId:
+        i = self._int()
+        if self.n is not None and not 1 <= i <= self.n:
+            raise FormulaSyntaxError(
+                f"agent {i} out of range 1..{self.n} in {self.text!r}")
+        return i
+
     def hap(self) -> LocalHap:
         kind = self.take()
         self.take("(")
         if kind == "recv":
-            j = self._int()
+            j = self._agent()
             self.take(",")
             msg = self.take()
             self.take(")")
             return Recv(j, msg)
         if kind == "send":
-            j = self._int()
+            j = self._agent()
             self.take(",")
             msg = self.take()
             copy = 0
@@ -278,7 +285,7 @@ class _Parser:
         tok = self.take()
         if tok in ("correct", "faulty"):
             self.take("(")
-            i = self._int()
+            i = self._agent()
             at = None
             if self.peek() == ",":
                 self.take()
@@ -288,7 +295,7 @@ class _Parser:
             return Atom(cls(i, at))
         if tok == "fake":
             self.take("(")
-            i = self._int()
+            i = self._agent()
             self.take(",")
             at = self._int()
             self.take(",")
@@ -297,10 +304,10 @@ class _Parser:
             return Atom(Fake(i, at, hap))
         if tok == "occ_c":
             self.take("(")
-            if self.peek().isdigit():
-                i = self._int()
+            if (self.peek() or "").isdigit():
+                i = self._agent()
                 self.take(",")
-                if self.peek().isdigit():
+                if (self.peek() or "").isdigit():
                     at = self._int()
                     self.take(",")
                     hap = self.hap()
@@ -314,14 +321,14 @@ class _Parser:
             return Atom(OccurredCorrectly(hap))
         if tok == "occ":
             self.take("(")
-            i = self._int()
+            i = self._agent()
             self.take(",")
             hap = self.hap()
             self.take(")")
             return Atom(Occurred(hap, i))
         if tok in ("happened", "fhappened"):
             self.take("(")
-            i = self._int()
+            i = self._agent()
             self.take(",")
             hap = self.hap()
             self.take(")")
@@ -329,7 +336,7 @@ class _Parser:
             return Atom(cls(hap, i))
         if tok == "init":
             self.take("(")
-            i = self._int()
+            i = self._agent()
             self.take(",")
             lam = self.take()
             self.take(")")

@@ -8,7 +8,8 @@ and hashable, so they can be shared freely between enumeration workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 AgentId = int
@@ -18,7 +19,7 @@ Timestamp = int
 # ---------------------------------------------------------------------------
 # Message identifiers
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GMI:
     """Global message identifier: the injective 5-tuple tag of a send."""
 
@@ -32,20 +33,20 @@ class GMI:
 # ---------------------------------------------------------------------------
 # Local format
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Send:
     to: AgentId
     msg: str
     copy: int = 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Recv:
     frm: AgentId
     msg: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class External:
     event: str
 
@@ -56,7 +57,7 @@ LocalHap = Union[Send, Recv, External]
 # ---------------------------------------------------------------------------
 # Global format
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GSend:
     """Correct send action of `agent`, tagged with its GMI fields."""
 
@@ -71,7 +72,7 @@ class GSend:
         return GMI(self.agent, self.to, self.msg, self.copy, self.sent_at)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GRecv:
     """Correct delivery to `agent` of a message sent by `frm`.
 
@@ -86,13 +87,13 @@ class GRecv:
     gmi: Optional[GMI] = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GExternal:
     agent: AgentId
     event: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ByzAction:
     """Byzantine event: `agent` performs one action while recording another.
 
@@ -105,7 +106,7 @@ class ByzAction:
     recorded: Optional[GSend] = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ByzEvent:
     """Byzantine counterpart of a correct event: a faked perception."""
 
@@ -113,38 +114,33 @@ class ByzEvent:
     event: Union[GRecv, GExternal] = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Go:
     agent: AgentId
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Sleep:
     agent: AgentId
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Hib:
     agent: AgentId
 
 
 GlobalHap = Union[GSend, GRecv, GExternal, ByzAction, ByzEvent, Go, Sleep, Hib]
 
-SYSTEM_KINDS = (Go, Sleep, Hib)
-BYZ_KINDS = (ByzAction, ByzEvent)
+FAULT_KINDS = (ByzAction, ByzEvent, Sleep, Hib)
 
 
 def fail(agent: AgentId) -> ByzAction:
     return ByzAction(agent, None, None)
 
 
-def is_system(g: GlobalHap) -> bool:
-    return isinstance(g, SYSTEM_KINDS)
-
-
 def is_fault_event(g: GlobalHap) -> bool:
     """Membership in FEvents: byzantine events plus sleep and hibernate."""
-    return isinstance(g, BYZ_KINDS + (Sleep, Hib))
+    return isinstance(g, FAULT_KINDS)
 
 
 def is_event(g: GlobalHap) -> bool:
@@ -179,7 +175,7 @@ def globalize(agent: AgentId, t: Timestamp, a: LocalHap) -> GlobalHap:
 # ---------------------------------------------------------------------------
 # Histories and states
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalHistory:
     """An agent's view: initial state plus one hap set per active round.
 
@@ -206,12 +202,18 @@ class LocalHistory:
         return LocalHistory(self.initial, self.rounds + (haps,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalState:
-    """(environment history, n local histories); |env| is the global time."""
+    """(environment history, n local histories); |env| is the global time.
+    `sent` holds the GMIs of every send in env, `delivered` those of its
+    correct deliveries and `faulty` the agents with a fault event in it;
+    they spare a step the rescan of env and take no part in equality."""
 
     env: tuple  # tuple of frozensets of GlobalHap, oldest-first
     locals: tuple  # tuple of LocalHistory, index agent-1
+    sent: frozenset = field(default=frozenset(), compare=False)
+    delivered: frozenset = field(default=frozenset(), compare=False)
+    faulty: frozenset = field(default=frozenset(), compare=False)
 
     def local(self, agent: AgentId) -> LocalHistory:
         return self.locals[agent - 1]
@@ -221,7 +223,7 @@ def initial_state(initials) -> GlobalState:
     return GlobalState((), tuple(LocalHistory(lam) for lam in initials))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
     """A finite run prefix: states indexed 0..horizon."""
 
@@ -241,50 +243,45 @@ class Run:
 # ---------------------------------------------------------------------------
 # State update functions
 
-def perceived(X: frozenset) -> frozenset:
-    """sigma(X): strip system events, then localize; drops non-recordings."""
-    out = set()
-    for g in X:
-        if is_system(g):
-            continue
-        loc = localize(g)
-        if loc is not None:
-            out.add(loc)
-    return frozenset(out)
-
-
-def update_agent(h: LocalHistory, agent: AgentId, X_i: frozenset,
-                 X_eps: frozenset) -> LocalHistory:
-    """Update one local history with the round's actions and events.
-
-    The history is untouched when the agent perceives nothing and was not
-    activated, denying it knowledge that the round passed.  A go with an
-    empty perception set appends an empty activation marker round.
-    """
-    X_eps_i = frozenset(g for g in X_eps if is_event(g) and g.agent == agent)
-    if not perceived(X_eps_i) and Go(agent) not in X_eps:
-        return h
-    return h.append(perceived(X_eps_i | X_i))
+def _grow(old: frozenset, new: set) -> frozenset:
+    return old if new <= old else old.union(new)
 
 
 def apply_round(state: GlobalState, rnd: frozenset) -> GlobalState:
     """The state after one round, given the environment's verbatim record
     of it: the round's events plus the correct sends agents performed.
-    Each agent's actions are its `GSend`s, since menus hold events only."""
-    locals_ = tuple(
-        update_agent(h, i, frozenset(g for g in rnd
-                                     if isinstance(g, GSend) and g.agent == i),
-                     rnd)
-        for i, h in enumerate(state.locals, start=1))
-    return GlobalState(state.env + (rnd,), locals_)
 
-
-def replay_local(agent: AgentId, env: tuple, initial: str) -> LocalHistory:
-    """Rebuild an agent's local history from the environment history;
-    tests check `apply_round` against it."""
-    h = LocalHistory(initial)
-    for rnd in env:
-        X_i = frozenset(g for g in rnd if isinstance(g, GSend) and g.agent == agent)
-        X_eps = frozenset(g for g in rnd if is_event(g))
-        h = update_agent(h, agent, X_i, X_eps)
-    return h
+    An agent's history gains one round holding its perceived events and
+    its actions (its `GSend`s), system events stripped.  It is untouched
+    when the agent perceives no event and was not activated, denying it
+    knowledge that the round passed; a go with nothing perceived appends
+    an empty marker round.  One pass over the record serves every agent
+    and extends the state's summaries."""
+    heard = defaultdict(set)  # agent -> its perceived events, localized
+    did = defaultdict(set)    # agent -> its correct sends, localized
+    sent, delivered, faulty = set(), set(), set()
+    for g in rnd:
+        if isinstance(g, GSend):
+            did[g.agent].add(Send(g.to, g.msg, g.copy))
+            sent.add(g.gmi)
+            continue
+        if isinstance(g, GRecv) and g.gmi is not None:
+            delivered.add(g.gmi)
+        elif isinstance(g, FAULT_KINDS):
+            faulty.add(g.agent)
+            if isinstance(g, ByzAction) and g.performed is not None:
+                sent.add(g.performed.gmi)
+        loc = localize(g)
+        if loc is not None:
+            heard[g.agent].add(loc)
+        elif isinstance(g, Go):
+            heard[g.agent]  # activated: a round marker even if empty
+    locals_ = list(state.locals)
+    for i, haps in heard.items():
+        if 0 < i <= len(locals_):
+            locals_[i - 1] = locals_[i - 1].append(
+                frozenset(haps.union(did.get(i, ()))))
+    return GlobalState(state.env + (rnd,), tuple(locals_),
+                       _grow(state.sent, sent),
+                       _grow(state.delivered, delivered),
+                       _grow(state.faulty, faulty))

@@ -40,9 +40,11 @@ class AgentProtocol:
     agent: AgentId
     rules: Tuple[Rule, ...]
 
-    def __call__(self, h: LocalHistory) -> tuple:
+    def __call__(self, h: LocalHistory, self_faulty=None) -> tuple:
+        """The first matching rule's choices.  `self_faulty`, when known,
+        is the `self_faulty` guard's value on `h`, sparing the audit."""
         for rule in self.rules:
-            if guard_holds(rule.guard, h, self):
+            if guard_holds(rule.guard, h, self, self_faulty):
                 return rule.choices
         raise RuntimeError(f"protocol of agent {self.agent} has no default rule")
 
@@ -66,7 +68,8 @@ class AgentProtocol:
 # ("observed", hap), ("initial", lam), ("active_at_least", k),
 # ("self_faulty",), ("not", g), ("all", g...), ("any", g...).
 
-def guard_holds(guard: tuple, h: LocalHistory, protocol: AgentProtocol) -> bool:
+def guard_holds(guard: tuple, h: LocalHistory, protocol: AgentProtocol,
+                self_faulty=None) -> bool:
     op = guard[0]
     if op == "always":
         return True
@@ -82,15 +85,17 @@ def guard_holds(guard: tuple, h: LocalHistory, protocol: AgentProtocol) -> bool:
     if op == "active_at_least":
         return h.active_rounds >= guard[1]
     if op == "self_faulty":
-        # own-action audit; recursion bottoms out on shorter prefixes
+        if self_faulty is not None:
+            return self_faulty
+        # own-action audit; it asks the protocol about shorter prefixes
         from .detect import self_check_faulty
         return self_check_faulty(h, protocol.agent, protocol)
     if op == "not":
-        return not guard_holds(guard[1], h, protocol)
+        return not guard_holds(guard[1], h, protocol, self_faulty)
     if op == "all":
-        return all(guard_holds(g, h, protocol) for g in guard[1:])
+        return all(guard_holds(g, h, protocol, self_faulty) for g in guard[1:])
     if op == "any":
-        return any(guard_holds(g, h, protocol) for g in guard[1:])
+        return any(guard_holds(g, h, protocol, self_faulty) for g in guard[1:])
     raise ValueError(f"unknown guard {guard!r}")
 
 

@@ -30,7 +30,9 @@ from typing import Optional
 from .chains import TrustTable
 from .engine import AgentContext, check_t_coherent
 from .formulas import parse_formula
-from .haps import ByzAction, GSend, Send, is_event
+from .haps import (
+    ByzAction, ByzEvent, GExternal, GRecv, GSend, Send, is_event,
+)
 from .protocols import AgentProtocol, EnvProtocol, Rule, close_menu
 from .serial import ghap_from_json, local_from_json
 
@@ -79,6 +81,20 @@ def _guard_from_json(v, where: str) -> tuple:
     if op in ("all", "any"):
         return (op, *(_guard_from_json(g, where) for g in v[1:]))
     raise ScenarioError(where, f"unknown guard operator {op!r}")
+
+
+def _agents_named(g) -> list:
+    """Every agent id a menu hap names, its nested haps' included."""
+    if isinstance(g, ByzAction):
+        sends = [s for s in (g.performed, g.recorded) if s is not None]
+        if not all(isinstance(s, GSend) for s in sends):
+            raise ValueError("byz_action carries gsends only")
+        return [g.agent] + [a for s in sends for a in (s.agent, s.to)]
+    if isinstance(g, ByzEvent):
+        if not isinstance(g.event, (GRecv, GExternal)):
+            raise ValueError("byz_event carries a grecv or a gext")
+        return [g.agent] + _agents_named(g.event)
+    return [g.agent, g.frm] if isinstance(g, GRecv) else [g.agent]
 
 
 def _fill_sent_at(g, t: int):
@@ -171,6 +187,8 @@ def scenario_from_json(doc: dict, name: str,
     menus_doc = env_doc.get("menus", [])
     caps = doc.get("caps", {})
     menu_cap = caps.get("menu_cap", 4096)
+    if not isinstance(menu_cap, int) or menu_cap < 1:
+        raise ScenarioError("caps.menu_cap", "cap must be a positive integer")
     menus = []
     for t, md in enumerate(menus_doc):
         where = f"env_protocol.menus[{t}]"
@@ -179,12 +197,14 @@ def scenario_from_json(doc: dict, name: str,
         for k, S in enumerate(sets_doc):
             try:
                 X = frozenset(_fill_sent_at(ghap_from_json(g), t) for g in S)
+                named = [a for g in X for a in _agents_named(g)]
             except (ValueError, TypeError, IndexError) as e:
                 raise ScenarioError(f"{where}.sets[{k}]", f"bad hap: {e}")
-            for g in X:
-                if not (isinstance(g.agent, int) and 1 <= g.agent <= n):
+            for a in named:
+                if not (isinstance(a, int) and 1 <= a <= n):
                     raise ScenarioError(f"{where}.sets[{k}]",
-                                        f"agent {g.agent!r} out of range 1..{n}")
+                                        f"agent {a!r} out of range 1..{n}")
+            for g in X:
                 if not is_event(g):
                     raise ScenarioError(f"{where}.sets[{k}]",
                                         "menus hold events only")

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from byzlab.engine import enumerate_runs
+from byzlab.haps import GSend, Go, Hib, LocalHistory, Sleep, is_event, localize
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import load_scenario
 
@@ -26,3 +27,30 @@ def suite():
         out[name] = (sc, runs, InterpretedSystem(
             runs, quiescent=sc.ctx.env.span <= sc.ctx.horizon))
     return out
+
+
+# -- the per-agent round update that `haps.apply_round` is checked against --
+
+def perceived(X: frozenset) -> frozenset:
+    """sigma(X): strip system events, then localize; drops non-recordings."""
+    locs = (localize(g) for g in X if not isinstance(g, (Go, Sleep, Hib)))
+    return frozenset(loc for loc in locs if loc is not None)
+
+
+def update_agent(h: LocalHistory, agent: int, X_i: frozenset,
+                 X_eps: frozenset) -> LocalHistory:
+    """Update one local history with the round's actions and events."""
+    X_eps_i = frozenset(g for g in X_eps if is_event(g) and g.agent == agent)
+    if not perceived(X_eps_i) and Go(agent) not in X_eps:
+        return h
+    return h.append(perceived(X_eps_i | X_i))
+
+
+def replay_local(agent: int, env: tuple, initial: str) -> LocalHistory:
+    """Rebuild an agent's local history from the environment history."""
+    h = LocalHistory(initial)
+    for rnd in env:
+        X_i = frozenset(g for g in rnd if isinstance(g, GSend) and g.agent == agent)
+        X_eps = frozenset(g for g in rnd if is_event(g))
+        h = update_agent(h, agent, X_i, X_eps)
+    return h

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty, OccurredCorrectly
 from byzlab.chains import TrustTable
@@ -11,7 +12,7 @@ from byzlab.detect import (
 )
 from byzlab.formulas import Atom
 from byzlab.haps import External, LocalHistory, Recv, Send
-from byzlab.protocols import AgentProtocol, Rule
+from byzlab.protocols import AgentProtocol, Rule, guard_holds
 
 
 def proto(i, *rules):
@@ -47,6 +48,78 @@ def test_self_check_spots_unoffered_actions():
     assert not self_check_faulty(fine, 1, p)
     rogue = LocalHistory("s", (frozenset({Send(2, "zzz")}),))
     assert self_check_faulty(rogue, 1, p)
+
+
+def reference_choices(p, h):
+    """The protocol's choices with every `self_faulty` guard audited in
+    full: the recursive definition, 2^k - 1 calls on k rounds."""
+    for rule in p.rules:
+        if reference_guard(rule.guard, h, p):
+            return rule.choices
+
+
+def reference_guard(guard, h, p):
+    op = guard[0]
+    if op == "self_faulty":
+        return reference_self_faulty(h, p)
+    if op == "not":
+        return not reference_guard(guard[1], h, p)
+    if op == "all":
+        return all(reference_guard(g, h, p) for g in guard[1:])
+    if op == "any":
+        return any(reference_guard(g, h, p) for g in guard[1:])
+    return guard_holds(guard, h, p)
+
+
+def reference_self_faulty(h, p):
+    for m, rnd in enumerate(h.rounds):
+        offered = reference_choices(p, h.prefix(m))
+        if any(isinstance(a, Send) and all(a not in D for D in offered)
+               for a in rnd):
+            return True
+    return False
+
+
+AUDITOR = proto(
+    1,
+    Rule(("all", ("received", 2, "m"), ("not", ("self_faulty",))),
+         (frozenset({Send(2, "a")}),)),
+    Rule(("any", ("self_faulty",), ("sent", 2, "b")),
+         (frozenset({Send(2, "sorry")}), frozenset())),
+    Rule(("always",), (frozenset({Send(2, "a")}), frozenset({Send(2, "b")}))),
+)
+
+
+def test_self_faulty_audit_is_linear(monkeypatch, suite):
+    calls = []
+    inner = AgentProtocol.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(AgentProtocol, "__call__", counted)
+    busy = LocalHistory("s", (frozenset({Send(2, "a")}),) * 16)
+    assert AUDITOR(busy) == (frozenset({Send(2, "a")}), frozenset({Send(2, "b")}))
+    assert len(calls) <= 17
+    monkeypatch.undo()
+
+    for name, (sc, runs, _) in suite.items():
+        histories = {(i, r.local(i, t)) for r in runs
+                     for t in range(r.horizon + 1) for i in range(1, sc.ctx.n + 1)}
+        for i, h in histories:
+            p = sc.ctx.protocol(i)
+            assert p(h) == reference_choices(p, h), name
+            assert self_check_faulty(h, i, p) == reference_self_faulty(h, p), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(
+    [Send(2, "a"), Send(2, "b"), Send(2, "sorry"), Recv(2, "m")])), max_size=7))
+def test_self_faulty_audit_matches_recursive_reference(rounds):
+    h = LocalHistory("s", tuple(rounds))
+    assert AUDITOR(h) == reference_choices(AUDITOR, h)
+    assert self_check_faulty(h, 1, AUDITOR) == reference_self_faulty(h, AUDITOR)
 
 
 def hand_trace_input():

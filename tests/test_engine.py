@@ -1,15 +1,18 @@
+import itertools
+
 import pytest
 
 from byzlab.engine import (
-    AgentContext, CapExceeded, check_t_coherent, count_choice_tree,
-    enumerate_runs, filter_action_std, filter_env_B, filter_env_Bf,
+    AgentContext, CapExceeded, _pick, check_t_coherent, count_choice_tree,
+    enumerate_runs, filter_env_B, filter_env_Bf,
     seeded_run, step,
 )
 from byzlab.haps import (
-    ByzAction, ByzEvent, GExternal, GRecv, GSend, Go,
-    Hib, Recv, Send, Sleep, fail, initial_state, replay_local,
+    ByzAction, ByzEvent, GExternal, GlobalState, GRecv, GSend, Go,
+    Hib, Recv, Send, Sleep, fail, globalize, initial_state, is_fault_event,
 )
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule
+from tests.conftest import replay_local, update_agent
 
 
 def proto(i, *rules):
@@ -99,9 +102,13 @@ def test_budget_filter_counts_sleep():
 
 
 def test_action_filter_requires_go():
-    alphas = [frozenset({GSend(1, 2, "m", 0, 0)}), frozenset()]
-    assert filter_action_std(1, alphas, frozenset()) == frozenset()
-    assert filter_action_std(1, alphas, frozenset({Go(1)})) == alphas[0]
+    ctx = simple_ctx()
+    s0 = initial_state(("a", "b"))
+    sends = [frozenset({Send(2, "m")}), frozenset()]
+    idle = step(ctx, s0, 0, frozenset(), sends, validate=False)
+    assert idle.env == (frozenset(),)
+    went = step(ctx, s0, 0, frozenset({Go(1)}), sends)
+    assert went.env == (frozenset({Go(1), GSend(1, 2, "m", 0, 0)}),)
 
 
 # -- stepping and enumeration ------------------------------------------------
@@ -176,3 +183,117 @@ def test_byz_performed_send_is_deliverable():
     ctx = simple_ctx(env=env, protocols=(proto(1), proto(2)), f=1)
     (run,) = enumerate_runs(ctx)
     assert Recv(2, "x") in run.local(1, 2)
+
+
+# -- the step against a reference that rescans the env history ---------------
+
+def ref_sends(rounds):
+    for rnd in rounds:
+        for g in rnd:
+            if isinstance(g, GSend):
+                yield g
+            elif isinstance(g, ByzAction) and g.performed is not None:
+                yield g.performed
+
+
+def ref_filter_B(state, X_eps, alphas):
+    issued = {s.gmi for s in ref_sends(state.env + tuple(alphas) + (X_eps,))}
+    return frozenset(g for g in X_eps if not isinstance(g, GRecv) or g.gmi in issued)
+
+
+def ref_filter_Bf(state, X_eps, alphas, f):
+    beta = ref_filter_B(state, X_eps, alphas)
+    would_be = {g.agent for rnd in state.env + (beta,) for g in rnd
+                if is_fault_event(g)}
+    if len(would_be) > f:
+        beta = ref_filter_B(
+            state, frozenset(g for g in X_eps if not is_fault_event(g)), alphas)
+    return beta
+
+
+def ref_materialize(state, X_eps, alphas):
+    out = set()
+    delivered = {g.gmi for rnd in state.env for g in rnd
+                 if isinstance(g, GRecv) and g.gmi is not None}
+    candidates = sorted(set(ref_sends(state.env + tuple(alphas) + (X_eps,))),
+                        key=lambda s: (s.sent_at, s.copy, s.agent, s.to, s.msg))
+    for g in X_eps:
+        if isinstance(g, GRecv) and g.gmi is None:
+            matches = [s for s in candidates
+                       if s.agent == g.frm and s.to == g.agent and s.msg == g.msg]
+            fresh = [s for s in matches if s.gmi not in delivered]
+            pick = (fresh or matches or [None])[0]
+            out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick.gmi))
+        else:
+            out.add(g)
+    return frozenset(out)
+
+
+def ref_step(ctx, state, t, env_choice, agent_choices):
+    n = ctx.n
+    alphas = [frozenset(globalize(i, t, a) for a in agent_choices[i - 1])
+              for i in range(1, n + 1)]
+    alpha_eps = ref_materialize(state, env_choice, alphas)
+    if ctx.template == "Bf":
+        beta_eps = ref_filter_Bf(state, alpha_eps, alphas, ctx.f)
+    else:
+        beta_eps = ref_filter_B(state, alpha_eps, alphas)
+    betas = [alphas[i - 1] if Go(i) in beta_eps else frozenset()
+             for i in range(1, n + 1)]
+    rnd = beta_eps.union(*betas)
+    return GlobalState(state.env + (rnd,), tuple(
+        update_agent(h, i, betas[i - 1], rnd)
+        for i, h in enumerate(state.locals, start=1)))
+
+
+def ref_runs(ctx):
+    def walk(prefix, t):
+        if t == ctx.horizon:
+            yield tuple(prefix)
+            return
+        agent_opts = [ctx.protocol(i)(prefix[-1].local(i))
+                      for i in range(1, ctx.n + 1)]
+        for env_choice in ctx.env(t):
+            for combo in itertools.product(*agent_opts):
+                prefix.append(ref_step(ctx, prefix[-1], t, env_choice, combo))
+                yield from walk(prefix, t + 1)
+                prefix.pop()
+
+    for initials in ctx.initials:
+        yield from walk([initial_state(initials)], 0)
+
+
+def ref_seeded_run(ctx, seed):
+    state = initial_state(ctx.initials[_pick(seed, -1, 0, len(ctx.initials))])
+    states = [state]
+    for t in range(ctx.horizon):
+        env_opts = ctx.env(t)
+        env_choice = env_opts[_pick(seed, t, 0, len(env_opts))]
+        combo = []
+        for i in range(1, ctx.n + 1):
+            opts = ctx.protocol(i)(state.local(i))
+            combo.append(opts[_pick(seed, t, i, len(opts))])
+        state = ref_step(ctx, state, t, env_choice, combo)
+        states.append(state)
+    return tuple(states)
+
+
+def assert_summaries_fold_env(state):
+    assert state.sent == {s.gmi for s in ref_sends(state.env)}
+    assert state.delivered == {g.gmi for rnd in state.env for g in rnd
+                               if isinstance(g, GRecv) and g.gmi is not None}
+    assert state.faulty == {g.agent for rnd in state.env for g in rnd
+                            if is_fault_event(g)}
+
+
+def test_step_matches_rescanning_reference(suite):
+    for name, (sc, runs, _) in suite.items():
+        assert [r.states for r in runs] == list(ref_runs(sc.ctx)), name
+        for r in runs:
+            for state in r.states:
+                assert_summaries_fold_env(state)
+        for seed in (0, 1, 7):
+            run = seeded_run(sc.ctx, seed)
+            assert run.states == ref_seeded_run(sc.ctx, seed), (name, seed)
+            for state in run.states:
+                assert_summaries_fold_env(state)

@@ -32,6 +32,18 @@ def test_parse_rejects_garbage():
             parse_formula(bad)   # kgroup without agent count included
 
 
+def test_parse_checks_agent_ids_against_n():
+    for bad in ["K[0](p)", "B[5](faulty(1))", "faulty(5)", "init(0,s)",
+                "occ(1,recv(7,m))", "happened(1,send(5,m))", "occ_c(9,ext(e))",
+                "occ_c("]:
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(bad, n=4)
+    assert parse_formula("K[4](occ(1,send(3,m,5)))", n=4) == \
+        Know(4, Atom(Occurred(Send(3, "m", 5), 1)))
+    assert parse_formula("faulty(1,9) & kgroup(1,ext(e))", n=2)
+    assert parse_formula("K[9](p)") == Know(9, Atom("p"))
+
+
 def test_kgroup_expansion():
     phi = parse_formula("kgroup(2,ext(e))", n=3)
     assert phi == group_occurrence_formula(3, 2, External("e"))

@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from byzlab.haps import (
     GMI, External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send,
-    Sleep, apply_round, fail, globalize, initial_state, localize, perceived,
-    replay_local, update_agent,
+    Sleep, apply_round, fail, globalize, initial_state, localize,
 )
+from tests.conftest import perceived, replay_local, update_agent
 
 agents = st.integers(min_value=1, max_value=5)
 msgs = st.text(alphabet="abc", min_size=1, max_size=3)

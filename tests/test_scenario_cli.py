@@ -76,14 +76,38 @@ def _relay_no_formula(doc):
     del doc["trust_table"][0]["formula"]
 
 
+def _relay_byz_sender(doc):
+    doc["env_protocol"]["menus"][0]["sets"][0][0] = \
+        ["byz_action", 4, ["gsend", 9, 2, "bogus", 0, None], None]
+
+
+def _relay_byz_performs_go(doc):
+    doc["env_protocol"]["menus"][0]["sets"][0][0] = \
+        ["byz_action", 4, ["go", 4], None]
+
+
+def _relay_fake_recv_sender(doc):
+    doc["env_protocol"]["menus"][1]["sets"][1] = \
+        [["byz_event", 3, ["grecv", 3, 9, "a24", None]]]
+
+
+def _relay_recv_sender(doc):
+    doc["env_protocol"]["menus"][2]["sets"][0][1] = ["grecv", 1, 0, "a34", None]
+
+
 @pytest.mark.parametrize("mutate, where", [
     (_relay_choice, "agent_protocols.2[0].choices[0]"),
     (_relay_menu_hap, "env_protocol.menus[1].sets[0]"),
     (_relay_protocol_list, "agent_protocols"),
     (_relay_short_guard, "agent_protocols.2[0].guard"),
     (_relay_no_formula, "trust_table[0].formula"),
+    (_relay_byz_sender, "env_protocol.menus[0].sets[0]"),
+    (_relay_byz_performs_go, "env_protocol.menus[0].sets[0]"),
+    (_relay_fake_recv_sender, "env_protocol.menus[1].sets[1]"),
+    (_relay_recv_sender, "env_protocol.menus[2].sets[0]"),
 ], ids=["choice-kind", "menu-agent", "protocols-list", "guard-arity",
-        "trust-formula"])
+        "trust-formula", "byz-action-sender", "byz-action-go",
+        "byz-event-sender", "grecv-sender"])
 def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
                                                where):
     with open(scenario_path("s05_relay")) as fh:
@@ -96,6 +120,17 @@ def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
     p.write_text(json.dumps(doc))
     assert main(["validate", str(p)]) == 2
     assert f"error: {where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["many", 0, 2.5])
+def test_menu_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
+    with open(scenario_path("s15_stripped_send")) as fh:
+        doc = json.load(fh)
+    doc["caps"] = {"menu_cap": cap}
+    p = tmp_path / "capped.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "error: caps.menu_cap: " in capsys.readouterr().err
 
 
 def test_bad_json_file(tmp_path):
@@ -172,6 +207,14 @@ def test_cli_check_names_an_inadmissible_atom_time(capsys):
                  "--formula", "faulty(4,2)"]) == 2
     err = capsys.readouterr().err
     assert "'faulty(4,2)'" in err and "at run 0, t=0" in err
+
+
+@pytest.mark.parametrize("formula", ["K[0](faulty(4))", "K[9](faulty(4))",
+                                     "B[1](occ(2,recv(5,a24)))"])
+def test_cli_check_rejects_agents_out_of_range(capsys, formula):
+    assert main(["check", scenario_path("s05_relay"),
+                 "--formula", formula]) == 2
+    assert "out of range 1..4" in capsys.readouterr().err
 
 
 def test_cli_check_against_detection(capsys):

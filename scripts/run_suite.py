@@ -8,23 +8,36 @@ counts the distinct global states among the points, the nodes on which
 the oracle evaluates state formulas once.  Prints one
 summary row per scenario and exits non-zero on any refuted verdict.
 
-    python3 scripts/run_suite.py [--scenario NAME] [--json]
+With --stress H it instead builds one system of the stress family, the
+benchmark's `formulas` scenario (perfbench/gen.py, seed 1) with its
+round-0 menu repeated for H rounds, and prints one row: runs, tree
+nodes, expanded distinct states (the states enumeration stepped from),
+histories, verdicts, the seconds spent enumerating, classing every
+agent's histories and cross-checking, and the process's peak RSS.
+Through the run list, H=5 takes a few seconds and about 150 MB; each
+further round multiplies both by about eight.
+
+    python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """
 
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
+sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
 
+import gen
 from byzlab.detect import cross_check
 from byzlab.engine import enumerate_runs
 from byzlab.oracle import InterpretedSystem
-from byzlab.scenario import load_scenario
+from byzlab.scenario import load_scenario, scenario_from_json
 
-SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SCENARIO_DIR = os.path.join(HERE, "..", "scenarios")
 
 
 def sweep(name):
@@ -46,11 +59,61 @@ def sweep(name):
     }
 
 
+STRESS_COLUMNS = [("horizon", 8), ("runs", 8), ("tree_nodes", 12),
+                  ("expanded", 10), ("histories", 11), ("verdicts", 10),
+                  ("refuted", 9), ("enumerate_s", 13), ("classes_s", 11),
+                  ("cross_check_s", 15), ("peak_rss_mb", 13)]
+
+
+def stress(horizon):
+    doc, _ = gen.formulas(1)
+    menus = doc["env_protocol"]["menus"]
+    doc["env_protocol"]["menus"] = [menus[0]] * horizon
+    doc["horizon"] = horizon
+    sc = scenario_from_json(doc, f"stress{horizon}")
+    start = time.monotonic()
+    runs = enumerate_runs(sc.ctx)
+    enumerated = time.monotonic()
+    system = InterpretedSystem(runs)
+    histories = sum(len(system.agent_classes(i))
+                    for i in range(1, sc.ctx.n + 1))
+    classed = time.monotonic()
+    verdicts = cross_check(sc, system)
+    checked = time.monotonic()
+    nodes = {id(s): (t, s) for r in runs
+             for t, s in enumerate(r.states[:-1])}.values()
+    return {
+        "horizon": horizon, "runs": len(runs), "tree_nodes": system.nodes,
+        "expanded": len({(t, s.locals, s.sent, s.delivered, s.faulty)
+                         for t, s in nodes}),
+        "histories": histories, "verdicts": len(verdicts),
+        "refuted": sum(not ok for *_, ok in verdicts),
+        "enumerate_s": round(enumerated - start, 3),
+        "classes_s": round(classed - enumerated, 3),
+        "cross_check_s": round(checked - classed, 3),
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", help="run a single scenario by name")
+    ap.add_argument("--stress", type=int, metavar="H",
+                    help="run the stress family at horizon H instead")
     ap.add_argument("--json", action="store_true", help="machine output")
     args = ap.parse_args()
+
+    if args.stress is not None:
+        if args.stress < 1:
+            ap.error("--stress needs a positive horizon")
+        row = stress(args.stress)
+        if args.json:
+            print(json.dumps(row, indent=2))
+        else:
+            print("".join(f"{k:>{w}}" for k, w in STRESS_COLUMNS))
+            print("".join(f"{row[k]:>{w}}" for k, w in STRESS_COLUMNS))
+        return 1 if row["refuted"] else 0
 
     names = sorted(n[:-5] for n in os.listdir(SCENARIO_DIR)
                    if n.endswith(".json"))

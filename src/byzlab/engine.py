@@ -2,7 +2,8 @@
 
 A round from timestamp t to t+1 runs through protocol, adversary,
 labeling, filtering and updating phases.  `enumerate_runs` explores every
-adversary choice exhaustively up to the context horizon; `seeded_run`
+adversary choice exhaustively up to the context horizon, stepping once
+per distinct state rather than once per tree node; `seeded_run`
 resolves each choice point deterministically from a seed.
 """
 
@@ -182,28 +183,50 @@ def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
 
 
 def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:
-    """All transitional runs of length horizon+1, in deterministic order."""
+    """All transitional runs of length horizon+1, in deterministic order.
+
+    `step` reads a state only through its future key (t, locals, sent,
+    delivered, faulty): the protocols read `locals`, the filters and
+    delivery binding read the summaries, and the update appends one
+    round to `env` without reading it.  Tree nodes with one key thus
+    have equal subtrees up to their env prefix.  A table local to the
+    call maps each key to its children, one per (env choice, agent
+    combo) in menu order, each kept as (round record, locals, sent,
+    delivered, faulty) from one `step` call when the key is first
+    reached.  Every tree node still gets its own `GlobalState`, built
+    over its own env, so runs and their order are those of a plain
+    walk that steps at every node.  The cap counts tree edges.
+    """
     cap = ctx.node_cap if cap is None else cap
     runs: List[Run] = []
     explored = 0
+    table: Dict[tuple, list] = {}  # future key -> its children
 
     def walk(prefix: List[GlobalState], t: Timestamp):
         nonlocal explored
+        state = prefix[-1]
         if t == ctx.horizon:
             runs.append(Run(tuple(prefix)))
             return
-        env_opts, agent_opts = _choice_space(ctx, prefix[-1], t)
-        combos = list(itertools.product(*agent_opts))
-        for env_choice in env_opts:
-            for combo in combos:
-                explored += 1
-                if explored > cap:
-                    raise CapExceeded(
-                        f"enumeration exceeded {cap} explored nodes")
-                nxt = step(ctx, prefix[-1], t, env_choice, combo, validate=False)
-                prefix.append(nxt)
-                walk(prefix, t + 1)
-                prefix.pop()
+        key = (t, state.locals, state.sent, state.delivered, state.faulty)
+        children = table.get(key)
+        if children is None:
+            env_opts, agent_opts = _choice_space(ctx, state, t)
+            nexts = (step(ctx, state, t, env_choice, combo, validate=False)
+                     for env_choice, combo in itertools.product(
+                         env_opts, itertools.product(*agent_opts)))
+            children = table[key] = [
+                (s.env[-1], s.locals, s.sent, s.delivered, s.faulty)
+                for s in nexts]
+        for rnd, locals_, sent, delivered, faulty in children:
+            explored += 1
+            if explored > cap:
+                raise CapExceeded(
+                    f"enumeration exceeded {cap} explored nodes")
+            prefix.append(GlobalState(state.env + (rnd,), locals_, sent,
+                                      delivered, faulty))
+            walk(prefix, t + 1)
+            prefix.pop()
 
     for initials in ctx.initials:
         walk([initial_state(initials)], 0)

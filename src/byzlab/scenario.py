@@ -58,6 +58,14 @@ _GUARD_ARITY = {"always": 0, "self_faulty": 0, "received": 2, "sent": 2,
                 "observed": 1, "initial": 1, "active_at_least": 1, "not": 1}
 
 
+def _object(doc: dict, key: str) -> dict:
+    """The optional object under `key`; {} when absent."""
+    v = doc.get(key, {})
+    if not isinstance(v, dict):
+        raise ScenarioError(key, "must be an object")
+    return v
+
+
 def _guard_from_json(v, where: str) -> tuple:
     if not isinstance(v, list) or not v:
         raise ScenarioError(where, "guard must be a non-empty array")
@@ -183,15 +191,19 @@ def scenario_from_json(doc: dict, name: str,
             rules.append(Rule(("always",), (frozenset(),)))
         protocols.append(AgentProtocol(i, tuple(rules)))
 
-    env_doc = doc.get("env_protocol", {})
+    env_doc = _object(doc, "env_protocol")
     menus_doc = env_doc.get("menus", [])
-    caps = doc.get("caps", {})
+    if not isinstance(menus_doc, list):
+        raise ScenarioError("env_protocol.menus", "need a list of menus")
+    caps = _object(doc, "caps")
     menu_cap = caps.get("menu_cap", 4096)
     if not isinstance(menu_cap, int) or menu_cap < 1:
         raise ScenarioError("caps.menu_cap", "cap must be a positive integer")
     menus = []
     for t, md in enumerate(menus_doc):
         where = f"env_protocol.menus[{t}]"
+        if not isinstance(md, dict):
+            raise ScenarioError(where, "a menu must be an object")
         sets_doc = md.get("sets", [[]])
         menu = []
         for k, S in enumerate(sets_doc):
@@ -250,7 +262,7 @@ def scenario_from_json(doc: dict, name: str,
     except ValueError as e:
         raise ScenarioError("trust_table", str(e))
 
-    adv = doc.get("adversary", {})
+    adv = _object(doc, "adversary")
     mode = adv.get("mode", "seeded")
     if mode not in ("seeded", "enumerate"):
         raise ScenarioError("adversary.mode", f"unknown mode {mode!r}")

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from byzlab import engine
 from byzlab.engine import (
     AgentContext, CapExceeded, _pick, check_t_coherent, count_choice_tree,
     enumerate_runs, filter_env_B, filter_env_Bf,
@@ -12,6 +15,8 @@ from byzlab.haps import (
     Hib, Recv, Send, Sleep, fail, globalize, initial_state, is_fault_event,
 )
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule
+from byzlab.scenario import ScenarioError, scenario_from_json
+from byzlab.serial import ghap_to_json
 from tests.conftest import replay_local, update_agent
 
 
@@ -147,11 +152,17 @@ def test_enumerate_covers_choice_tree():
     assert len({r.states for r in runs}) == len(runs)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(suite):
     env = EnvProtocol(((frozenset({Go(1)}), frozenset()),) * 2)
     ctx = simple_ctx(env=env, node_cap=3)
     with pytest.raises(CapExceeded):
         enumerate_runs(ctx)
+    # the cap counts tree edges, however few distinct states they reach
+    for name, (sc, runs, _) in suite.items():
+        edges = tree_edges(sc.ctx)
+        assert enumerate_runs(sc.ctx, cap=edges) == runs, name
+        with pytest.raises(CapExceeded):
+            enumerate_runs(sc.ctx, cap=edges - 1)
 
 
 def test_seeded_run_is_an_enumerated_run():
@@ -297,3 +308,149 @@ def test_step_matches_rescanning_reference(suite):
             assert run.states == ref_seeded_run(sc.ctx, seed), (name, seed)
             for state in run.states:
                 assert_summaries_fold_env(state)
+
+
+def tree_edges(ctx):
+    """Edges of the choice tree: the reference walk steps once per edge,
+    and each step builds a new state."""
+    runs = list(ref_runs(ctx))
+    return len({id(state) for states in runs for state in states[1:]})
+
+
+def test_enumeration_expands_each_distinct_state_once(suite, monkeypatch):
+    calls = 0
+    real_step = engine.step
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", counted)
+    shared = 0
+    for name, (sc, runs, _) in suite.items():
+        ctx = sc.ctx
+        calls = 0
+        assert enumerate_runs(ctx) == runs, name
+        keys = {(t, s.locals, s.sent, s.delivered, s.faulty)
+                for r in runs for t, s in enumerate(r.states[:-1])}
+        expected = sum(
+            len(ctx.env(t)) * math.prod(len(ctx.protocol(i)(h))
+                                        for i, h in enumerate(locals_, 1))
+            for t, locals_, *_ in keys)
+        assert calls == expected, name
+        edges = tree_edges(ctx)
+        assert calls <= edges, name
+        shared += calls < edges
+    assert shared  # some corpus scenario reaches a state twice
+
+
+def _deliveries_split_ctx():
+    # Agent 1, already faulty, perceives m at round 1 from a correct
+    # delivery or a fake one, so the nodes at t=2 differ only in the
+    # delivered sends, and round 2's template binds to different sends.
+    p2 = proto(2, Rule(("always",), (frozenset({Send(1, "m")}),)))
+    recv = GRecv(1, 2, "m", None)
+    env = EnvProtocol((
+        (frozenset({Go(2), fail(1)}),),
+        (frozenset({Go(2), recv}), frozenset({Go(2), ByzEvent(1, recv)})),
+        (frozenset({recv}),),
+    ))
+    return simple_ctx(env=env, protocols=(proto(1), p2), f=1, horizon=3), 2
+
+
+def _sends_split_ctx():
+    # Agent 2 turns byzantine at round 0 with or without an unrecorded
+    # send, so the nodes at t=1 differ only in the sends, and only the
+    # send makes round 1's delivery pass.
+    bogus = GSend(2, 1, "x", 0, 0)
+    env = EnvProtocol((
+        (frozenset({ByzAction(2, bogus, None)}), frozenset({fail(2)})),
+        (frozenset({GRecv(1, 2, "x", None)}),),
+    ))
+    return simple_ctx(env=env, protocols=(proto(1), proto(2)), f=1), 1
+
+
+@pytest.mark.parametrize("build", [_deliveries_split_ctx, _sends_split_ctx],
+                         ids=["delivered", "sent"])
+def test_enumeration_keys_on_each_summary(build):
+    ctx, t = build()
+    runs = enumerate_runs(ctx)
+    assert [r.states for r in runs] == list(ref_runs(ctx))
+    a, b = (r.states[t] for r in runs)
+    assert a.locals == b.locals and a.faulty == b.faulty
+    assert (a.sent, a.delivered) != (b.sent, b.delivered)
+    assert runs[0].states[t + 1].env[t] != runs[1].states[t + 1].env[t]
+
+
+# -- random small scenarios against the reference ----------------------------
+
+@st.composite
+def random_scenarios(draw):
+    """A scenario document with n <= 3, horizon <= 3, random menus (some
+    closed) and random send rules."""
+    n = draw(st.integers(2, 3))
+    horizon = draw(st.integers(1, 3))
+    agent = st.integers(1, n)
+    msg = st.sampled_from(["a", "b"])
+
+    def other(i):
+        return st.integers(1, n - 1).map(lambda d: (i + d - 1) % n + 1)
+
+    def pair():  # (agent, another agent, msg)
+        return agent.flatmap(lambda i: st.tuples(st.just(i), other(i), msg))
+
+    def menu_hap(t):
+        return st.one_of(
+            st.builds(Go, agent), st.builds(Sleep, agent),
+            st.builds(fail, agent), st.builds(GExternal, agent, st.just("e")),
+            pair().map(lambda p: GRecv(*p, None)),
+            pair().map(lambda p: ByzEvent(p[0], GRecv(*p, None))),
+            st.tuples(pair(), st.booleans()).map(lambda pb: ByzAction(
+                pb[0][0], GSend(*pb[0], 0, t),
+                GSend(*pb[0], 0, t) if pb[1] else None)))
+
+    menus = []
+    for t in range(horizon):
+        sets = draw(st.lists(
+            st.frozensets(menu_hap(t), max_size=3).filter(
+                lambda X, t=t: check_t_coherent(X, t)),
+            min_size=1, max_size=3))
+        menus.append({"sets": [[ghap_to_json(g) for g in X] for X in sets],
+                      "close": draw(st.booleans())})
+    guard = st.one_of(
+        st.just(["always"]),
+        st.tuples(st.sampled_from(["received", "sent"]), agent, msg).map(list),
+        st.tuples(agent, msg).map(lambda p: ["not", ["received", *p]]),
+        st.integers(1, 2).map(lambda k: ["active_at_least", k]))
+    protocols = {}
+    for i in range(1, n + 1):
+        sends = st.frozensets(st.tuples(st.just("send"), other(i), msg,
+                                        st.just(0)), max_size=2)
+        protocols[str(i)] = draw(st.lists(st.fixed_dictionaries({
+            "guard": guard,
+            "choices": st.lists(sends.map(lambda X: [list(a) for a in X]),
+                                min_size=1, max_size=2)}), max_size=2))
+    return {
+        "agents": n, "f": draw(st.integers(0, 2)),
+        "template": draw(st.sampled_from(["B", "Bf"])), "horizon": horizon,
+        "initial_states": [["s"] * n],
+        "agent_protocols": protocols,
+        "env_protocol": {"menus": menus},
+        "caps": {"menu_cap": 64, "node_cap": 2000},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_scenarios())
+def test_enumeration_matches_reference_on_random_scenarios(doc):
+    try:
+        ctx = scenario_from_json(doc, "random").ctx
+        runs = enumerate_runs(ctx)
+    except (ScenarioError, CapExceeded):
+        assume(False)
+    assert [r.states for r in runs] == list(ref_runs(ctx))
+    for r in runs:
+        for state in r.states:
+            assert_summaries_fold_env(state)
+    assert len(runs) == count_choice_tree(ctx)

@@ -95,6 +95,26 @@ def _relay_recv_sender(doc):
     doc["env_protocol"]["menus"][2]["sets"][0][1] = ["grecv", 1, 0, "a34", None]
 
 
+def _relay_env_list(doc):
+    doc["env_protocol"] = []
+
+
+def _relay_menus_object(doc):
+    doc["env_protocol"]["menus"] = {}
+
+
+def _relay_menu_list(doc):
+    doc["env_protocol"]["menus"][0] = []
+
+
+def _relay_caps_list(doc):
+    doc["caps"] = []
+
+
+def _relay_adversary_list(doc):
+    doc["adversary"] = []
+
+
 @pytest.mark.parametrize("mutate, where", [
     (_relay_choice, "agent_protocols.2[0].choices[0]"),
     (_relay_menu_hap, "env_protocol.menus[1].sets[0]"),
@@ -105,9 +125,16 @@ def _relay_recv_sender(doc):
     (_relay_byz_performs_go, "env_protocol.menus[0].sets[0]"),
     (_relay_fake_recv_sender, "env_protocol.menus[1].sets[1]"),
     (_relay_recv_sender, "env_protocol.menus[2].sets[0]"),
+    (_relay_env_list, "env_protocol"),
+    (_relay_menus_object, "env_protocol.menus"),
+    (_relay_menu_list, "env_protocol.menus[0]"),
+    (_relay_caps_list, "caps"),
+    (_relay_adversary_list, "adversary"),
 ], ids=["choice-kind", "menu-agent", "protocols-list", "guard-arity",
         "trust-formula", "byz-action-sender", "byz-action-go",
-        "byz-event-sender", "grecv-sender"])
+        "byz-event-sender", "grecv-sender", "env-list", "menus-object",
+        "menu-list",
+        "caps-list", "adversary-list"])
 def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
                                                where):
     with open(scenario_path("s05_relay")) as fh:

@@ -19,8 +19,8 @@ from .detect import (
     local_knowledge, self_check_faulty,
 )
 from .engine import (
-    AgentContext, CapExceeded, check_closure_properties, check_t_coherent,
-    count_choice_tree, enumerate_runs, seeded_run, step,
+    AgentContext, CapExceeded, count_choice_tree, enumerate_runs, seeded_run,
+    step,
 )
 from .formulas import (
     Always, And, Atom, Believe, Formula, Hope, Implies, Know, Not, Or,
@@ -32,7 +32,10 @@ from .haps import (
     Go, Hib, LocalHistory, Recv, Run, Send, Sleep, fail, initial_state,
 )
 from .oracle import InterpretedSystem
-from .protocols import AgentProtocol, EnvProtocol, Rule, close_menu
+from .protocols import (
+    AgentProtocol, EnvProtocol, Rule, check_closure_properties,
+    check_t_coherent, close_menu,
+)
 from .scenario import Scenario, ScenarioError, load_scenario
 from .trace import read_trace, trace_lines, write_trace
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .haps import (
     AgentId, ByzAction, ByzEvent, GExternal, GRecv, GSend, LocalHap, Run,
-    Timestamp, is_fault_event, localize,
+    Timestamp, localize,
 )
 
 
@@ -74,11 +74,6 @@ class AtomTimeError(ValueError):
     """An atom's time lies outside what its evaluation point admits."""
 
 
-def _no_fault_events(env: tuple, agent: AgentId, upto: Timestamp) -> bool:
-    return not any(
-        is_fault_event(g) and g.agent == agent for rnd in env[:upto] for g in rnd)
-
-
 def _fake_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
     # A byzantine perception reason for o in round (t-1)-and-a-half.
     for g in env[t - 1]:
@@ -100,8 +95,10 @@ def _correct_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bo
 def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
     """Evaluate a designated atom at (run, t_eval).
 
-    Reads only the state at t_eval (its environment prefix and the
-    initial states of its local histories), so points that share a state
+    Reads the state at t_eval (its environment prefix and the initial
+    states of its local histories) and, for `correct(i,t)` and
+    `faulty(i,t)`, the `faulty` summary of the run's state at t, which
+    lies on the same path from the root; so points that share a state
     share every atom's value.  Raises AtomTimeError when t_eval or an
     explicit time parameter is out of the admissible range.
     """
@@ -115,8 +112,8 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
         if not 0 <= t <= t_eval:
             raise AtomTimeError(
                 f"atom time {t} exceeds evaluation time {t_eval}")
-        ok = _no_fault_events(env, atom.agent, t)
-        return ok if isinstance(atom, Correct) else not ok
+        faulty = atom.agent in run.states[t].faulty
+        return faulty if isinstance(atom, Faulty) else not faulty
 
     if isinstance(atom, Fake):
         if not 1 <= atom.at <= t_eval:

@@ -90,17 +90,16 @@ def chains_minus(chains: FrozenSet[Chain], S: Set[AgentId]) -> FrozenSet[Chain]:
     return frozenset(s for s in chains if not set(s) & set(S))
 
 
-def max_disjoint(chains: FrozenSet[Chain],
-                 cap: int = MAX_PACKING_INPUT) -> Tuple[int, FrozenSet[Chain]]:
+def max_disjoint(chains: FrozenSet[Chain]) -> Tuple[int, FrozenSet[Chain]]:
     """Largest set of pairwise agent-disjoint chains, exactly.
 
     Branch and bound over the conflict graph: chains in lexicographic
     order, include/exclude per chain, pruned by remaining count.  The
     witness is the lexicographically first maximum found.
     """
-    if len(chains) > cap:
-        raise PackingCapExceeded(
-            f"{len(chains)} chains exceed the packing cap {cap}")
+    if len(chains) > MAX_PACKING_INPUT:
+        raise PackingCapExceeded(f"{len(chains)} chains exceed the packing "
+                                 f"cap {MAX_PACKING_INPUT}")
     order = sorted(chains)
     agents = [set(s) for s in order]
     best: list = []

@@ -22,13 +22,11 @@ from .chains import PackingCapExceeded
 from .detect import (
     DetectionInput, belief_who_is_faulty, cross_check, group_occurrence_belief,
 )
-from .engine import (
-    CapExceeded, check_closure_properties, count_choice_tree, enumerate_runs,
-    seeded_run,
-)
+from .engine import CapExceeded, count_choice_tree, enumerate_runs, seeded_run
 from .formulas import parse_formula
 from .haps import External
 from .oracle import InterpretedSystem, UnknownProposition
+from .protocols import check_closure_properties
 from .scenario import Scenario, ScenarioError, load_scenario
 from .serial import run_to_json
 from .trace import TraceError, read_trace, trace_lines, write_trace

@@ -1,4 +1,4 @@
-"""Round transitions: coherence, filters, the five-phase step, enumeration.
+"""Round transitions: filters, the five-phase step, enumeration.
 
 A round from timestamp t to t+1 runs through protocol, adversary,
 labeling, filtering and updating phases.  `enumerate_runs` explores every
@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .haps import (
-    FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GRecv,
-    GlobalState, Go, Hib, Run, Sleep, Timestamp, apply_round, fail,
-    globalize, initial_state, is_fault_event,
+    FAULT_KINDS, AgentId, ByzAction, GRecv, GlobalState, Go, Run, Timestamp,
+    apply_round, globalize, initial_state,
 )
-from .protocols import AgentProtocol, EnvProtocol, fault_alphabet, _subsets
+from .protocols import AgentProtocol, EnvProtocol
 
 
 class CapExceeded(Exception):
@@ -41,41 +40,6 @@ class AgentContext:
 
     def protocol(self, agent: AgentId) -> AgentProtocol:
         return self.protocols[agent - 1]
-
-
-# ---------------------------------------------------------------------------
-# Coherence
-
-def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
-    """The five mutual-compatibility conditions on a round's event set."""
-    recvs = set()      # (receiver, sender, msg) with a correct delivery
-    fake_recvs = set()
-    exts = set()
-    fake_exts = set()
-    sys_seen = set()
-    for g in S:
-        if isinstance(g, ByzAction) and g.performed is not None:
-            if g.performed.sent_at != t:
-                return False
-        if isinstance(g, (Go, Sleep, Hib)):
-            if g.agent in sys_seen:
-                return False
-            sys_seen.add(g.agent)
-        if isinstance(g, GExternal):
-            exts.add((g.agent, g.event))
-        if isinstance(g, ByzEvent):
-            ev = g.event
-            if isinstance(ev, GExternal):
-                fake_exts.add((g.agent, ev.event))
-            elif isinstance(ev, GRecv):
-                fake_recvs.add((ev.agent, ev.frm, ev.msg))
-        if isinstance(g, GRecv):
-            recvs.add((g.agent, g.frm, g.msg))
-    if exts & fake_exts:
-        return False
-    if recvs & fake_recvs:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +146,7 @@ def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
                         for i in range(1, ctx.n + 1)]
 
 
-def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:
+def enumerate_runs(ctx: AgentContext) -> List[Run]:
     """All transitional runs of length horizon+1, in deterministic order.
 
     `step` reads a state only through its future key (t, locals, sent,
@@ -195,9 +159,9 @@ def enumerate_runs(ctx: AgentContext, cap: Optional[int] = None) -> List[Run]:
     delivered, faulty) from one `step` call when the key is first
     reached.  Every tree node still gets its own `GlobalState`, built
     over its own env, so runs and their order are those of a plain
-    walk that steps at every node.  The cap counts tree edges.
+    walk that steps at every node.  `ctx.node_cap` caps the tree edges.
     """
-    cap = ctx.node_cap if cap is None else cap
+    cap = ctx.node_cap
     runs: List[Run] = []
     explored = 0
     table: Dict[tuple, list] = {}  # future key -> its children
@@ -271,32 +235,3 @@ def seeded_run(ctx: AgentContext, seed: int) -> Run:
         states.append(state)
     return Run(tuple(states))
 
-
-# ---------------------------------------------------------------------------
-# Closure properties of the environment protocol
-
-def check_closure_properties(ctx: AgentContext) -> Dict[AgentId, Dict[str, bool]]:
-    """Check fallible/correctable/delayable/gullible per agent, all t."""
-    report = {i: {"fallible": True, "correctable": True,
-                  "delayable": True, "gullible": True}
-              for i in range(1, ctx.n + 1)}
-    for t in range(ctx.horizon):
-        menu = set(ctx.env(t))
-        alpha = fault_alphabet(menu, ctx.n)
-        for X in menu:
-            for i in range(1, ctx.n + 1):
-                if X | {fail(i)} not in menu:
-                    report[i]["fallible"] = False
-                no_faults = frozenset(
-                    g for g in X if not (is_fault_event(g) and g.agent == i))
-                if no_faults not in menu:
-                    report[i]["correctable"] = False
-                stripped = frozenset(g for g in X if g.agent != i)
-                if stripped not in menu:
-                    report[i]["delayable"] = False
-                for Y in _subsets(alpha[i]):
-                    cand = stripped | Y
-                    if check_t_coherent(cand, t) and cand not in menu:
-                        report[i]["gullible"] = False
-                        break
-    return report

@@ -131,16 +131,12 @@ class Hib:
 
 GlobalHap = Union[GSend, GRecv, GExternal, ByzAction, ByzEvent, Go, Sleep, Hib]
 
+# FEvents: byzantine events plus sleep and hibernate
 FAULT_KINDS = (ByzAction, ByzEvent, Sleep, Hib)
 
 
 def fail(agent: AgentId) -> ByzAction:
     return ByzAction(agent, None, None)
-
-
-def is_fault_event(g: GlobalHap) -> bool:
-    """Membership in FEvents: byzantine events plus sleep and hibernate."""
-    return isinstance(g, FAULT_KINDS)
 
 
 def is_event(g: GlobalHap) -> bool:

@@ -6,9 +6,10 @@ picks from.  Guards are a small predicate language over the local
 history, so scenarios stay readable while the table remains finite.
 
 Environment protocols map each timestamp to a finite menu of coherent
-event sets.  `close_menu` saturates a base menu so that every agent is
-fallible, correctable, delayable and gullible over the scenario's fault
-alphabet.
+event sets.  The closure properties (fallible, correctable, delayable,
+gullible) are written once, as the moves a closed menu must admit from
+each of its sets: `close_menu` saturates a base menu under them and
+`check_closure_properties` audits a context's menus against them.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .haps import (
-    AgentId, LocalHistory,
-    Recv, Send, Timestamp, fail, is_fault_event,
+    FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GRecv, Go, Hib,
+    LocalHistory, Recv, Send, Sleep, Timestamp, fail,
 )
 from .serial import ghap_key, local_key, order_sets
 
@@ -125,42 +126,83 @@ def fault_alphabet(menu, n: AgentId) -> Dict[AgentId, frozenset]:
     alpha = {i: {fail(i)} for i in range(1, n + 1)}
     for X in menu:
         for g in X:
-            if is_fault_event(g):
+            if isinstance(g, FAULT_KINDS):
                 alpha[g.agent].add(g)
     return {i: frozenset(s) for i, s in alpha.items()}
 
 
-def _agent_events(X: frozenset, i: AgentId) -> frozenset:
-    return frozenset(g for g in X if g.agent == i)
+# ---------------------------------------------------------------------------
+# Coherence and the closure properties
+
+def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
+    """The five mutual-compatibility conditions on a round's event set."""
+    recvs = set()      # (receiver, sender, msg) with a correct delivery
+    fake_recvs = set()
+    exts = set()
+    fake_exts = set()
+    sys_seen = set()
+    for g in S:
+        if isinstance(g, ByzAction) and g.performed is not None:
+            if g.performed.sent_at != t:
+                return False
+        if isinstance(g, (Go, Sleep, Hib)):
+            if g.agent in sys_seen:
+                return False
+            sys_seen.add(g.agent)
+        if isinstance(g, GExternal):
+            exts.add((g.agent, g.event))
+        if isinstance(g, ByzEvent):
+            ev = g.event
+            if isinstance(ev, GExternal):
+                fake_exts.add((g.agent, ev.event))
+            elif isinstance(ev, GRecv):
+                fake_recvs.add((ev.agent, ev.frm, ev.msg))
+        if isinstance(g, GRecv):
+            recvs.add((g.agent, g.frm, g.msg))
+    if exts & fake_exts:
+        return False
+    if recvs & fake_recvs:
+        return False
+    return True
+
+
+def _fault_subsets(menu, n: AgentId) -> Dict[AgentId, list]:
+    """Each agent's subsets of its fault alphabet over the menu."""
+    out = {}
+    for i, alpha in fault_alphabet(menu, n).items():
+        items = sorted(alpha, key=repr)
+        out[i] = [frozenset(g for k, g in enumerate(items) if mask >> k & 1)
+                  for mask in range(1 << len(items))]
+    return out
+
+
+def _closure_moves(X: frozenset, fault_subsets: Dict[AgentId, list]):
+    """(agent i, property, set) for each move a closed menu must admit
+    from X: fallible adds fail(i), correctable drops i's fault events,
+    delayable drops all of i's events and gullible joins that last set
+    with each subset of i's fault alphabet."""
+    for i, subsets in fault_subsets.items():
+        yield i, "fallible", X | {fail(i)}
+        yield i, "correctable", X - frozenset(
+            g for g in X if g.agent == i and isinstance(g, FAULT_KINDS))
+        stripped = X - frozenset(g for g in X if g.agent == i)
+        yield i, "delayable", stripped
+        for Y in subsets:
+            yield i, "gullible", stripped | Y
 
 
 def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
-    """Saturate a menu under the four agent-fault closure properties.
-
-    Fixpoint of: X u {fail(i)}; X minus FEvents_i; X minus GEvents_i; and
-    Y joined with X minus GEvents_i for coherent Y over the fault
-    alphabet.  Only t-coherent sets are admitted.  The closure comes back
-    unordered; `EnvProtocol` orders it.
+    """Saturate a menu under the four agent-fault closure properties:
+    the fixpoint of every t-coherent closure move.  The closure comes
+    back unordered; `EnvProtocol` orders it.
     """
-    from .engine import check_t_coherent
-
-    alpha = fault_alphabet(base, n)
-    subsets = {i: list(_subsets(alpha[i])) for i in alpha}
+    subsets = _fault_subsets(base, n)
     seen = {frozenset(X) for X in base}
     frontier = list(seen)
     while frontier:
         new = []
         for X in frontier:
-            candidates = []
-            for i in range(1, n + 1):
-                candidates.append(X | {fail(i)})
-                candidates.append(X - frozenset(g for g in X if is_fault_event(g) and g.agent == i))
-                stripped = X - _agent_events(X, i)
-                candidates.append(stripped)
-                for Y in subsets[i]:
-                    candidates.append(stripped | Y)
-            for C in candidates:
-                C = frozenset(C)
+            for _, _, C in _closure_moves(X, subsets):
                 if C not in seen and check_t_coherent(C, t):
                     seen.add(C)
                     new.append(C)
@@ -170,10 +212,21 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     return frozenset(seen)
 
 
-def _subsets(s: frozenset):
-    items = sorted(s, key=repr)
-    for mask in range(1 << len(items)):
-        yield frozenset(items[k] for k in range(len(items)) if mask >> k & 1)
+def check_closure_properties(ctx) -> Dict[AgentId, Dict[str, bool]]:
+    """Check fallible/correctable/delayable/gullible per agent, all t: a
+    property fails where one of its t-coherent moves leaves the menu."""
+    report = {i: dict.fromkeys(
+        ("fallible", "correctable", "delayable", "gullible"), True)
+        for i in range(1, ctx.n + 1)}
+    for t in range(ctx.horizon):
+        menu = set(ctx.env(t))
+        subsets = _fault_subsets(menu, ctx.n)
+        for X in menu:
+            for i, prop, C in _closure_moves(X, subsets):
+                if report[i][prop] and C not in menu \
+                        and check_t_coherent(C, t):
+                    report[i][prop] = False
+    return report
 
 
 def relay_rules(trust, agent: AgentId) -> List[Rule]:

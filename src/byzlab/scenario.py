@@ -19,6 +19,7 @@ agent's protocol, never from the environment.  A `gsend` inside a byz
 action may give null for `sent_at`; it is filled with the timestamp of
 the menu it appears in.  A menu marked "close" is saturated
 so every agent stays fallible, correctable, delayable and gullible.
+Every agent a hap or a `received`/`sent` guard names must lie in 1..n.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chains import TrustTable
-from .engine import AgentContext, check_t_coherent
+from .engine import AgentContext
 from .formulas import parse_formula
-from .haps import (
-    ByzAction, ByzEvent, GExternal, GRecv, GSend, Send, is_event,
+from .haps import ByzAction, GSend, Send, is_event
+from .protocols import (
+    AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
 )
-from .protocols import AgentProtocol, EnvProtocol, Rule, close_menu
-from .serial import ghap_from_json, local_from_json
+from .serial import agent_id, ghap_from_json, local_from_json
 
 
 class ScenarioError(ValueError):
@@ -66,7 +67,7 @@ def _object(doc: dict, key: str) -> dict:
     return v
 
 
-def _guard_from_json(v, where: str) -> tuple:
+def _guard_from_json(v, where: str, n: int) -> tuple:
     if not isinstance(v, list) or not v:
         raise ScenarioError(where, "guard must be a non-empty array")
     op = v[0]
@@ -76,33 +77,22 @@ def _guard_from_json(v, where: str) -> tuple:
     if op in ("always", "self_faulty"):
         return (op,)
     if op in ("received", "sent"):
-        return (op, v[1], v[2])
+        try:
+            return (op, agent_id(v[1], n), v[2])
+        except ValueError as e:
+            raise ScenarioError(where, str(e))
     if op == "observed":
         try:
-            return (op, local_from_json(v[1]))
-        except (ValueError, TypeError, IndexError) as e:
+            return (op, local_from_json(v[1], n))
+        except (ValueError, TypeError, IndexError, KeyError) as e:
             raise ScenarioError(where, f"bad hap: {e}")
     if op in ("initial", "active_at_least"):
         return (op, v[1])
     if op == "not":
-        return (op, _guard_from_json(v[1], where))
+        return (op, _guard_from_json(v[1], where, n))
     if op in ("all", "any"):
-        return (op, *(_guard_from_json(g, where) for g in v[1:]))
+        return (op, *(_guard_from_json(g, where, n) for g in v[1:]))
     raise ScenarioError(where, f"unknown guard operator {op!r}")
-
-
-def _agents_named(g) -> list:
-    """Every agent id a menu hap names, its nested haps' included."""
-    if isinstance(g, ByzAction):
-        sends = [s for s in (g.performed, g.recorded) if s is not None]
-        if not all(isinstance(s, GSend) for s in sends):
-            raise ValueError("byz_action carries gsends only")
-        return [g.agent] + [a for s in sends for a in (s.agent, s.to)]
-    if isinstance(g, ByzEvent):
-        if not isinstance(g.event, (GRecv, GExternal)):
-            raise ValueError("byz_event carries a grecv or a gext")
-        return [g.agent] + _agents_named(g.event)
-    return [g.agent, g.frm] if isinstance(g, GRecv) else [g.agent]
 
 
 def _fill_sent_at(g, t: int):
@@ -172,7 +162,8 @@ def scenario_from_json(doc: dict, name: str,
             rw = f"{where}[{k}]"
             if not isinstance(rd, dict):
                 raise ScenarioError(rw, "a rule must be an object")
-            guard = _guard_from_json(rd.get("guard", ["always"]), rw + ".guard")
+            guard = _guard_from_json(rd.get("guard", ["always"]), rw + ".guard",
+                                     n)
             choices_doc = rd.get("choices")
             if not isinstance(choices_doc, list) or not choices_doc:
                 raise ScenarioError(rw + ".choices",
@@ -180,8 +171,8 @@ def scenario_from_json(doc: dict, name: str,
             choices = []
             for m, D in enumerate(choices_doc):
                 try:
-                    choices.append(frozenset(local_from_json(a) for a in D))
-                except (ValueError, TypeError, IndexError) as e:
+                    choices.append(frozenset(local_from_json(a, n) for a in D))
+                except (ValueError, TypeError, IndexError, KeyError) as e:
                     raise ScenarioError(f"{rw}.choices[{m}]", f"bad hap: {e}")
                 if not all(isinstance(a, Send) for a in choices[-1]):
                     raise ScenarioError(f"{rw}.choices[{m}]",
@@ -208,14 +199,10 @@ def scenario_from_json(doc: dict, name: str,
         menu = []
         for k, S in enumerate(sets_doc):
             try:
-                X = frozenset(_fill_sent_at(ghap_from_json(g), t) for g in S)
-                named = [a for g in X for a in _agents_named(g)]
-            except (ValueError, TypeError, IndexError) as e:
+                X = frozenset(_fill_sent_at(ghap_from_json(g, n), t)
+                              for g in S)
+            except (ValueError, TypeError, IndexError, KeyError) as e:
                 raise ScenarioError(f"{where}.sets[{k}]", f"bad hap: {e}")
-            for a in named:
-                if not (isinstance(a, int) and 1 <= a <= n):
-                    raise ScenarioError(f"{where}.sets[{k}]",
-                                        f"agent {a!r} out of range 1..{n}")
             for g in X:
                 if not is_event(g):
                     raise ScenarioError(f"{where}.sets[{k}]",

@@ -14,7 +14,10 @@ Global haps:
     ["go", agent]  ["sleep", agent]  ["hib", agent]  ["fail", agent]
 
 Sets of haps serialize as sorted arrays, so equal sets always produce
-identical text.
+identical text.  The decoders take the agent count n and check while
+they decode: every agent a hap names, nested haps and GMIs included,
+lies in 1..n, a byz_action carries only gsends and a byz_event only a
+grecv or a gext.  A violation raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,13 +41,20 @@ def local_to_json(a: LocalHap) -> list:
     raise TypeError(f"not a local hap: {a!r}")
 
 
-def local_from_json(v: list) -> LocalHap:
+def agent_id(v, n: int) -> int:
+    """`v` when it names one of agents 1..n; ValueError otherwise."""
+    if not (isinstance(v, int) and 1 <= v <= n):
+        raise ValueError(f"agent {v!r} out of range 1..{n}")
+    return v
+
+
+def local_from_json(v: list, n: int) -> LocalHap:
     kind = v[0]
     if kind == "send":
         copy = v[3] if len(v) > 3 else 0
-        return Send(v[1], v[2], copy)
+        return Send(agent_id(v[1], n), v[2], copy)
     if kind == "recv":
-        return Recv(v[1], v[2])
+        return Recv(agent_id(v[1], n), v[2])
     if kind == "ext":
         return External(v[1])
     raise ValueError(f"unknown local hap kind {kind!r}")
@@ -54,8 +64,9 @@ def _gmi_to_json(g: Optional[GMI]):
     return None if g is None else [g.sender, g.receiver, g.msg, g.copy, g.sent_at]
 
 
-def _gmi_from_json(v) -> Optional[GMI]:
-    return None if v is None else GMI(v[0], v[1], v[2], v[3], v[4])
+def _gmi_from_json(v, n: int) -> Optional[GMI]:
+    return None if v is None else \
+        GMI(agent_id(v[0], n), agent_id(v[1], n), v[2], v[3], v[4])
 
 
 def ghap_to_json(g: GlobalHap) -> list:
@@ -82,28 +93,39 @@ def ghap_to_json(g: GlobalHap) -> list:
     raise TypeError(f"not a global hap: {g!r}")
 
 
-def ghap_from_json(v: list) -> GlobalHap:
+def _gsend_from_json(v, n: int) -> Optional[GSend]:
+    if v is None:
+        return None
+    if v[0] != "gsend":
+        raise ValueError("byz_action carries gsends only")
+    return ghap_from_json(v, n)
+
+
+def ghap_from_json(v: list, n: int) -> GlobalHap:
+    """The hap `v` encodes, every agent it names checked against 1..n."""
     kind = v[0]
     if kind == "gsend":
-        return GSend(v[1], v[2], v[3], v[4], v[5])
+        return GSend(agent_id(v[1], n), agent_id(v[2], n), v[3], v[4], v[5])
     if kind == "grecv":
-        return GRecv(v[1], v[2], v[3], _gmi_from_json(v[4]) if len(v) > 4 else None)
+        return GRecv(agent_id(v[1], n), agent_id(v[2], n), v[3],
+                     _gmi_from_json(v[4], n) if len(v) > 4 else None)
     if kind == "gext":
-        return GExternal(v[1], v[2])
+        return GExternal(agent_id(v[1], n), v[2])
     if kind == "fail":
-        return ByzAction(v[1], None, None)
+        return ByzAction(agent_id(v[1], n), None, None)
     if kind == "byz_action":
-        return ByzAction(v[1],
-                         None if v[2] is None else ghap_from_json(v[2]),
-                         None if v[3] is None else ghap_from_json(v[3]))
+        return ByzAction(agent_id(v[1], n), _gsend_from_json(v[2], n),
+                         _gsend_from_json(v[3], n))
     if kind == "byz_event":
-        return ByzEvent(v[1], ghap_from_json(v[2]))
+        if v[2][0] not in ("grecv", "gext"):
+            raise ValueError("byz_event carries a grecv or a gext")
+        return ByzEvent(agent_id(v[1], n), ghap_from_json(v[2], n))
     if kind == "go":
-        return Go(v[1])
+        return Go(agent_id(v[1], n))
     if kind == "sleep":
-        return Sleep(v[1])
+        return Sleep(agent_id(v[1], n))
     if kind == "hib":
-        return Hib(v[1])
+        return Hib(agent_id(v[1], n))
     raise ValueError(f"unknown global hap kind {kind!r}")
 
 
@@ -132,10 +154,11 @@ def history_to_json(h: LocalHistory) -> dict:
             "rounds": [hapset_to_json(rnd, local_to_json) for rnd in h.rounds]}
 
 
-def history_from_json(v: dict) -> LocalHistory:
+def history_from_json(v: dict, n: int) -> LocalHistory:
     return LocalHistory(
         v["initial"],
-        tuple(frozenset(local_from_json(a) for a in rnd) for rnd in v["rounds"]))
+        tuple(frozenset(local_from_json(a, n) for a in rnd)
+              for rnd in v["rounds"]))
 
 
 def state_to_json(s: GlobalState) -> dict:

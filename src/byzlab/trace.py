@@ -90,13 +90,9 @@ def read_trace(path: str) -> Tuple[Run, dict]:
             raise TraceError(f"{path}:{lineno}: rounds out of order "
                              f"(t={rec.get('t')!r}, expected {lineno - 2})")
         try:
-            rnd = frozenset(ghap_from_json(v) for v in rec["haps"])
+            rnd = frozenset(ghap_from_json(v, n) for v in rec["haps"])
         except (ValueError, TypeError, IndexError, KeyError) as e:
             raise TraceError(f"{path}:{lineno}: bad hap ({e})")
-        for g in rnd:
-            if not isinstance(g.agent, int) or not 1 <= g.agent <= n:
-                raise TraceError(f"{path}:{lineno}: agent {g.agent!r} "
-                                 f"out of range 1..{n}")
         state = apply_round(state, rnd)
         states.append(state)
     return Run(tuple(states)), header

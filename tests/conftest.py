@@ -3,7 +3,9 @@ import os
 import pytest
 
 from byzlab.engine import enumerate_runs
-from byzlab.haps import GSend, Go, Hib, LocalHistory, Sleep, is_event, localize
+from byzlab.haps import (
+    FAULT_KINDS, GSend, Go, Hib, LocalHistory, Sleep, is_event, localize,
+)
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import load_scenario
 
@@ -54,3 +56,11 @@ def replay_local(agent: int, env: tuple, initial: str) -> LocalHistory:
         X_eps = frozenset(g for g in rnd if is_event(g))
         h = update_agent(h, agent, X_i, X_eps)
     return h
+
+
+# -- the env scan that the `correct` and `faulty` atoms are checked against --
+
+def has_fault_event(env: tuple, agent: int, upto: int) -> bool:
+    """Whether `agent` has a fault event in the first `upto` rounds."""
+    return any(isinstance(g, FAULT_KINDS) and g.agent == agent
+               for rnd in env[:upto] for g in rnd)

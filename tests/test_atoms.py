@@ -8,6 +8,7 @@ from byzlab.haps import (
     ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Recv, Run,
     Send, apply_round, fail, initial_state,
 )
+from tests.conftest import has_fault_event
 
 
 def build_run(env_rounds, initials=("a", "b")):
@@ -35,6 +36,20 @@ def test_correct_and_faulty_track_fault_events():
     # timed variants pin the inspection point
     assert eval_atom(r, 2, Correct(2, 0))
     assert eval_atom(r, 2, Faulty(2, 1))
+
+
+def test_correct_and_faulty_match_the_env_scan(suite):
+    for name, (sc, runs, _) in suite.items():
+        for run in runs:
+            for t_eval, state in enumerate(run.states):
+                for i in range(1, sc.ctx.n + 1):
+                    for t in range(t_eval + 1):
+                        fault = has_fault_event(state.env, i, t)
+                        assert eval_atom(run, t_eval, Faulty(i, t)) == fault
+                        assert eval_atom(run, t_eval, Correct(i, t)) != fault
+                    fault = has_fault_event(state.env, i, t_eval)
+                    assert eval_atom(run, t_eval, Faulty(i)) == fault, name
+                    assert eval_atom(run, t_eval, Correct(i)) != fault, name
 
 
 def test_atom_time_bounds_are_enforced():

@@ -1,20 +1,21 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from byzlab import engine
 from byzlab.engine import (
-    AgentContext, CapExceeded, _pick, check_t_coherent, count_choice_tree,
+    AgentContext, CapExceeded, _pick, count_choice_tree,
     enumerate_runs, filter_env_B, filter_env_Bf,
     seeded_run, step,
 )
 from byzlab.haps import (
-    ByzAction, ByzEvent, GExternal, GlobalState, GRecv, GSend, Go,
-    Hib, Recv, Send, Sleep, fail, globalize, initial_state, is_fault_event,
+    FAULT_KINDS, ByzAction, ByzEvent, GExternal, GlobalState, GRecv, GSend,
+    Go, Hib, Recv, Send, Sleep, fail, globalize, initial_state,
 )
-from byzlab.protocols import AgentProtocol, EnvProtocol, Rule
+from byzlab.protocols import AgentProtocol, EnvProtocol, Rule, check_t_coherent
 from byzlab.scenario import ScenarioError, scenario_from_json
 from byzlab.serial import ghap_to_json
 from tests.conftest import replay_local, update_agent
@@ -160,9 +161,9 @@ def test_enumeration_cap(suite):
     # the cap counts tree edges, however few distinct states they reach
     for name, (sc, runs, _) in suite.items():
         edges = tree_edges(sc.ctx)
-        assert enumerate_runs(sc.ctx, cap=edges) == runs, name
+        assert enumerate_runs(replace(sc.ctx, node_cap=edges)) == runs, name
         with pytest.raises(CapExceeded):
-            enumerate_runs(sc.ctx, cap=edges - 1)
+            enumerate_runs(replace(sc.ctx, node_cap=edges - 1))
 
 
 def test_seeded_run_is_an_enumerated_run():
@@ -215,10 +216,10 @@ def ref_filter_B(state, X_eps, alphas):
 def ref_filter_Bf(state, X_eps, alphas, f):
     beta = ref_filter_B(state, X_eps, alphas)
     would_be = {g.agent for rnd in state.env + (beta,) for g in rnd
-                if is_fault_event(g)}
+                if isinstance(g, FAULT_KINDS)}
     if len(would_be) > f:
         beta = ref_filter_B(
-            state, frozenset(g for g in X_eps if not is_fault_event(g)), alphas)
+            state, frozenset(g for g in X_eps if not isinstance(g, FAULT_KINDS)), alphas)
     return beta
 
 
@@ -294,7 +295,7 @@ def assert_summaries_fold_env(state):
     assert state.delivered == {g.gmi for rnd in state.env for g in rnd
                                if isinstance(g, GRecv) and g.gmi is not None}
     assert state.faulty == {g.agent for rnd in state.env for g in rnd
-                            if is_fault_event(g)}
+                            if isinstance(g, FAULT_KINDS)}
 
 
 def test_step_matches_rescanning_reference(suite):

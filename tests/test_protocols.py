@@ -1,16 +1,23 @@
+import importlib.util
+import itertools
+import os
+from dataclasses import replace
+
 import pytest
 
+from byzlab import check_closure_properties
 from byzlab.atoms import Faulty
 from byzlab.chains import TrustTable
-from byzlab.engine import check_t_coherent
 from byzlab.formulas import Atom
 from byzlab.haps import (
     External, GExternal, LocalHistory, Recv, Send, Sleep, fail,
 )
 from byzlab.protocols import (
-    AgentProtocol, EnvProtocol, Rule, close_menu, fault_alphabet, guard_holds,
-    relay_rules,
+    AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
+    fault_alphabet, guard_holds, relay_rules,
 )
+from byzlab.scenario import load_scenario, scenario_from_json
+from tests.conftest import scenario_path
 
 
 def proto(i, *rules):
@@ -89,10 +96,46 @@ def test_close_menu_realizes_closure_properties():
                 g for g in X if g not in alpha[i] | {fail(i)}) in menu_set
             stripped = frozenset(g for g in X if g.agent != i)
             assert stripped in menu_set                            # delayable
-            for Y in (frozenset(), alpha[i]):                      # gullible
-                cand = stripped | Y
-                if check_t_coherent(cand, 0):
-                    assert cand in menu_set
+            for k in range(len(alpha[i]) + 1):                     # gullible
+                for Y in itertools.combinations(alpha[i], k):
+                    cand = stripped | frozenset(Y)
+                    if check_t_coherent(cand, 0):
+                        assert cand in menu_set
+
+
+def _closed_gen():
+    """perfbench/gen.py, loaded from its file without touching sys.path."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.closed(1)
+
+
+ALL_HOLD = {"fallible": True, "correctable": True, "delayable": True,
+            "gullible": True}
+
+
+def test_closure_audit_holds_on_closed_menus():
+    # round 0 is closed in each; a one-round context audits only it
+    ctxs = [load_scenario(scenario_path(name)).ctx
+            for name in ("s07_sleep", "s15_stripped_send")]
+    ctxs += [scenario_from_json(doc, f"closed{k}").ctx
+             for k, doc in enumerate(_closed_gen())]
+    assert len(ctxs) == 10
+    for ctx in ctxs:
+        report = check_closure_properties(replace(ctx, horizon=1))
+        assert report == {i: ALL_HOLD for i in range(1, ctx.n + 1)}
+
+
+def test_closure_audit_names_what_an_open_menu_lacks():
+    ctx = load_scenario(scenario_path("s07_sleep")).ctx
+    round1 = replace(ctx, env=EnvProtocol((ctx.env(1),)), horizon=1)
+    lacking = {"fallible": False, "correctable": True, "delayable": False,
+               "gullible": False}
+    assert check_closure_properties(round1) == {
+        1: lacking, 2: lacking, 3: {**lacking, "delayable": True}}
 
 
 def test_close_menu_cap():

@@ -60,8 +60,29 @@ def _relay_choice(doc):
     doc["agent_protocols"]["2"][0]["choices"] = [[["zzz", 2]]]
 
 
+def _relay_choice_agent(doc):
+    doc["agent_protocols"]["2"][0]["choices"] = [[["send", 9, "m", 0]]]
+
+
+def _relay_observed_agent(doc):
+    doc["agent_protocols"]["2"][0]["guard"] = ["observed", ["recv", 9, "m"]]
+
+
+def _relay_received_agent(doc):
+    doc["agent_protocols"]["2"][0]["guard"] = ["received", 9, "bogus"]
+
+
+def _relay_sent_agent(doc):
+    doc["agent_protocols"]["2"][0]["guard"] = \
+        ["not", ["sent", "x", "a24"]]
+
+
 def _relay_menu_hap(doc):
     doc["env_protocol"]["menus"][1]["sets"][0] = [["go", "x"]]
+
+
+def _relay_menu_hap_object(doc):
+    doc["env_protocol"]["menus"][1]["sets"][0] = [{"go": 2}]
 
 
 def _relay_protocol_list(doc):
@@ -117,7 +138,12 @@ def _relay_adversary_list(doc):
 
 @pytest.mark.parametrize("mutate, where", [
     (_relay_choice, "agent_protocols.2[0].choices[0]"),
+    (_relay_choice_agent, "agent_protocols.2[0].choices[0]"),
+    (_relay_observed_agent, "agent_protocols.2[0].guard"),
+    (_relay_received_agent, "agent_protocols.2[0].guard"),
+    (_relay_sent_agent, "agent_protocols.2[0].guard"),
     (_relay_menu_hap, "env_protocol.menus[1].sets[0]"),
+    (_relay_menu_hap_object, "env_protocol.menus[1].sets[0]"),
     (_relay_protocol_list, "agent_protocols"),
     (_relay_short_guard, "agent_protocols.2[0].guard"),
     (_relay_no_formula, "trust_table[0].formula"),
@@ -130,7 +156,8 @@ def _relay_adversary_list(doc):
     (_relay_menu_list, "env_protocol.menus[0]"),
     (_relay_caps_list, "caps"),
     (_relay_adversary_list, "adversary"),
-], ids=["choice-kind", "menu-agent", "protocols-list", "guard-arity",
+], ids=["choice-kind", "choice-agent", "observed-agent", "received-agent",
+        "sent-agent", "menu-agent", "menu-hap-object", "protocols-list", "guard-arity",
         "trust-formula", "byz-action-sender", "byz-action-go",
         "byz-event-sender", "grecv-sender", "env-list", "menus-object",
         "menu-list",
@@ -280,8 +307,19 @@ HEADER = {"kind": "header", "version": 1, "scenario": "s", "seed": 0,
     ([{**HEADER, "initials": "sss"}], 1),
     ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 4]]}], 2),
     ([HEADER, {"kind": "round", "t": 0, "haps": [["gext", 0, "e"]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 1]]},
+      {"kind": "round", "t": 1, "haps": [["grecv", 1, 9, "m", None]]}], 3),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["byz_action", 2, ["gext", 2, "e"], None]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["byz_event", 2, ["go", 2]]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["gsend", 1, 9, "m", 0, 0]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["grecv", 2, 1, "m", [1, 9, "m", 0, 0]]]}], 2),
 ], ids=["header-array", "no-agents", "agents-string", "no-initials",
-        "initials-string", "agent-above-n", "agent-zero"])
+        "initials-string", "agent-above-n", "agent-zero", "grecv-sender",
+        "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent"])
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
     p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

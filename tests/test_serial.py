@@ -36,12 +36,12 @@ global_haps = st.one_of(
 
 @given(local_haps)
 def test_local_roundtrip(a):
-    assert local_from_json(local_to_json(a)) == a
+    assert local_from_json(local_to_json(a), 5) == a
 
 
 @given(global_haps)
 def test_global_roundtrip(g):
-    assert ghap_from_json(ghap_to_json(g)) == g
+    assert ghap_from_json(ghap_to_json(g), 5) == g
 
 
 @given(st.frozensets(global_haps, max_size=6))
@@ -55,4 +55,4 @@ def test_key_separates_sets(X):
 def test_history_roundtrip(rounds):
     from byzlab.haps import LocalHistory
     h = LocalHistory("s0", tuple(rounds))
-    assert history_from_json(history_to_json(h)) == h
+    assert history_from_json(history_to_json(h), 5) == h

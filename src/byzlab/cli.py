@@ -27,9 +27,9 @@ from .formulas import parse_formula
 from .haps import External
 from .oracle import InterpretedSystem, UnknownProposition
 from .protocols import check_closure_properties
-from .scenario import Scenario, ScenarioError, load_scenario
-from .serial import run_to_json
-from .trace import TraceError, read_trace, trace_lines, write_trace
+from .scenario import Scenario, load_scenario
+from .serial import InputError, run_to_json, typed
+from .trace import read_trace, trace_lines, write_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -38,13 +38,9 @@ EXIT_UNSOUND = 4
 
 
 def _load(path: str) -> Scenario:
-    cap = None
-    env_cap = os.environ.get("BYZLAB_NODE_CAP")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            raise ScenarioError("BYZLAB_NODE_CAP", f"not an integer: {env_cap!r}")
+    raw = os.environ.get("BYZLAB_NODE_CAP")
+    cap = None if raw is None else typed(
+        int(raw) if raw.strip().isdecimal() else raw, "BYZLAB_NODE_CAP", int, 1)
     return load_scenario(path, node_cap=cap)
 
 
@@ -80,11 +76,11 @@ def cmd_simulate(args) -> int:
 def _parse_query(raw: str):
     event, _, k = raw.rpartition(",")
     if not event:
-        raise ScenarioError("--query", f"expected EVENT,K, got {raw!r}")
+        raise InputError("--query", f"expected EVENT,K, got {raw!r}")
     try:
         return event, int(k)
     except ValueError:
-        raise ScenarioError("--query", f"group size must be an integer in {raw!r}")
+        raise InputError("--query", f"group size must be an integer in {raw!r}")
 
 
 def cmd_detect(args) -> int:
@@ -92,7 +88,8 @@ def cmd_detect(args) -> int:
     run, header = read_trace(args.trace)
     n = sc.ctx.n
     if header["agents"] != n:
-        raise TraceError(f"trace has {header['agents']} agents, scenario has {n}")
+        raise InputError(args.trace, f"{header['agents']} agents, "
+                         f"scenario has {n}")
     queries = [_parse_query(q) for q in args.query]
     agents = [args.agent] if args.agent else list(range(1, n + 1))
     report = {"scenario": sc.name, "trace": args.trace, "agents": {}}
@@ -127,7 +124,7 @@ def _jsonable(v):
 def cmd_check(args) -> int:
     sc = _load(args.scenario)
     if not args.formula and not args.against_detection:
-        raise ScenarioError("--formula", "need a formula or --against-detection")
+        raise InputError("--formula", "need a formula or --against-detection")
     system = _build_system(sc)
     out = {"scenario": sc.name, "runs": len(system.runs),
            "points": len(system.runs) * (system.horizon + 1)}
@@ -135,11 +132,11 @@ def cmd_check(args) -> int:
         try:
             phi = parse_formula(args.formula, n=sc.ctx.n)
         except ValueError as e:
-            raise ScenarioError("--formula", str(e))
+            raise InputError("--formula", str(e))
         try:
             verdicts, warning = system.check(phi)
         except AtomTimeError as e:
-            raise ScenarioError(
+            raise InputError(
                 "--formula", f"{args.formula!r} cannot be evaluated: {e}")
         true_pts = [p for p, v in verdicts if v]
         out["formula"] = args.formula
@@ -230,8 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, TraceError, UnknownProposition,
-            FileNotFoundError) as e:
+    except (InputError, UnknownProposition, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (CapExceeded, PackingCapExceeded) as e:

@@ -1,17 +1,32 @@
 """Scenario files: a JSON description of one finite system to explore.
 
-Top-level keys:
+Top-level keys, with their JSON types; a key without a default is
+required:
 
-    agents           int, number of agents (>= 1)
-    f                int, fault budget (default 0)
+    agents           int >= 1, the number of agents n
+    f                int in 0..n, fault budget (default 0)
     template         "B" or "Bf" (default "Bf")
-    horizon          int, number of rounds to run
-    initial_states   list of per-agent state-id lists, e.g. [["a","b","b"]]
-    agent_protocols  map agent-id -> list of {"guard": ..., "choices": [[hap]]}
-    env_protocol     {"menus": [{"sets": [[ghap]], "close": bool}, ...]}
-    trust_table      list of {"from", "to", "msg", "formula", "chain"}
-    adversary        {"mode": "seeded" | "enumerate", "seed": int}
-    caps             {"node_cap": int, "menu_cap": int}   (optional)
+    horizon          int >= 1, number of rounds to run
+    initial_states   non-empty list of joint states, each a list of n
+                     state-id strings, e.g. [["a","b","b"]]
+    agent_protocols  object from agent id "1".."n" to a list of rules
+                     {"guard": guard (default ["always"]),
+                      "choices": non-empty list of lists of local haps}
+                     (default {}; an agent without rules idles)
+    env_protocol     {"menus": list (default []) of menus
+                      {"sets": list of lists of global haps (default [[]]),
+                       "close": bool (default false)}}   (default {})
+    trust_table      list (default []) of {"from": agent, "to": agent,
+                     "msg": str, "formula": str, "chain": list of agents
+                     (default [])}
+    adversary        {"mode": "seeded" | "enumerate" (default "seeded"),
+                      "seed": int (default 0)}   (default {})
+    caps             {"node_cap": int >= 1 (default 1000000),
+                      "menu_cap": int >= 1 (default 4096)}   (default {})
+
+A guard is ["always"], ["self_faulty"], ["received", agent, msg],
+["sent", agent, msg], ["observed", local hap], ["initial", state id],
+["active_at_least", int], ["not", guard] or ["all"|"any", guard, ...].
 
 Haps follow the canonical array serialization.  Menu sets hold events
 only, and rule choices hold sends only: a correct send comes from an
@@ -19,7 +34,9 @@ agent's protocol, never from the environment.  A `gsend` inside a byz
 action may give null for `sent_at`; it is filled with the timestamp of
 the menu it appears in.  A menu marked "close" is saturated
 so every agent stays fallible, correctable, delayable and gullible.
-Every agent a hap or a `received`/`sent` guard names must lie in 1..n.
+Every agent a hap, a guard, a trust entry or an `agent_protocols` key
+names must lie in 1..n.  A value of the wrong type raises ScenarioError
+with its JSON path, like every other violation.
 """
 
 from __future__ import annotations
@@ -31,19 +48,16 @@ from typing import Optional
 from .chains import TrustTable
 from .engine import AgentContext
 from .formulas import parse_formula
-from .haps import ByzAction, GSend, Send, is_event
+from .haps import Send, is_event
 from .protocols import (
     AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
 )
-from .serial import agent_id, ghap_from_json, local_from_json
+from .serial import (
+    InputError, agent_id, decode_haps, field, ghap_from_json, local_from_json,
+    typed,
+)
 
-
-class ScenarioError(ValueError):
-    """Invalid scenario file; `where` is a path into the JSON document."""
-
-    def __init__(self, where: str, message: str):
-        super().__init__(f"{where}: {message}")
-        self.where = where
+ScenarioError = InputError  # `where` is a path into the JSON document
 
 
 @dataclass(frozen=True)
@@ -59,51 +73,27 @@ _GUARD_ARITY = {"always": 0, "self_faulty": 0, "received": 2, "sent": 2,
                 "observed": 1, "initial": 1, "active_at_least": 1, "not": 1}
 
 
-def _object(doc: dict, key: str) -> dict:
-    """The optional object under `key`; {} when absent."""
-    v = doc.get(key, {})
-    if not isinstance(v, dict):
-        raise ScenarioError(key, "must be an object")
-    return v
-
-
 def _guard_from_json(v, where: str, n: int) -> tuple:
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(where, "guard must be a non-empty array")
-    op = v[0]
+    op = typed(typed(v, where, list, lo=1)[0], where, str)
     if op in _GUARD_ARITY and len(v) != 1 + _GUARD_ARITY[op]:
         raise ScenarioError(
             where, f"guard {op!r} takes {_GUARD_ARITY[op]} argument(s)")
     if op in ("always", "self_faulty"):
         return (op,)
     if op in ("received", "sent"):
-        try:
-            return (op, agent_id(v[1], n), v[2])
-        except ValueError as e:
-            raise ScenarioError(where, str(e))
+        return (op, agent_id(v[1], n, where), typed(v[2], where, str))
     if op == "observed":
-        try:
-            return (op, local_from_json(v[1], n))
-        except (ValueError, TypeError, IndexError, KeyError) as e:
-            raise ScenarioError(where, f"bad hap: {e}")
-    if op in ("initial", "active_at_least"):
-        return (op, v[1])
+        hap, = decode_haps(v[1:], where, local_from_json, n)
+        return (op, hap)
+    if op == "initial":
+        return (op, typed(v[1], where, str))
+    if op == "active_at_least":
+        return (op, typed(v[1], where, int))
     if op == "not":
         return (op, _guard_from_json(v[1], where, n))
     if op in ("all", "any"):
         return (op, *(_guard_from_json(g, where, n) for g in v[1:]))
     raise ScenarioError(where, f"unknown guard operator {op!r}")
-
-
-def _fill_sent_at(g, t: int):
-    if isinstance(g, GSend) and g.sent_at is None:
-        return GSend(g.agent, g.to, g.msg, g.copy, t)
-    if isinstance(g, ByzAction) and (g.performed or g.recorded):
-        return ByzAction(
-            g.agent,
-            None if g.performed is None else _fill_sent_at(g.performed, t),
-            None if g.recorded is None else _fill_sent_at(g.recorded, t))
-    return g
 
 
 def load_scenario(path: str, name: Optional[str] = None,
@@ -118,102 +108,70 @@ def load_scenario(path: str, name: Optional[str] = None,
 
 def scenario_from_json(doc: dict, name: str,
                        node_cap: Optional[int] = None) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("$", "scenario must be a JSON object")
-
-    n = doc.get("agents")
-    if not isinstance(n, int) or n < 1:
-        raise ScenarioError("agents", "need a positive agent count")
-    f = doc.get("f", 0)
-    if not isinstance(f, int) or f < 0 or f > n:
-        raise ScenarioError("f", f"fault budget must lie in 0..{n}")
-    template = doc.get("template", "Bf")
+    typed(doc, "$", dict)
+    n = field(doc, "agents", "agents", int, lo=1)
+    f = field(doc, "f", "f", int, 0, 0, n)
+    template = field(doc, "template", "template", str, "Bf")
     if template not in ("B", "Bf"):
         raise ScenarioError("template", f"unknown template {template!r}")
-    horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ScenarioError("horizon", "need a positive horizon")
+    horizon = field(doc, "horizon", "horizon", int, lo=1)
 
-    raw_inits = doc.get("initial_states")
-    if not isinstance(raw_inits, list) or not raw_inits:
-        raise ScenarioError("initial_states", "need at least one joint state")
     initials = []
-    for k, joint in enumerate(raw_inits):
-        if not isinstance(joint, list) or len(joint) != n:
-            raise ScenarioError(f"initial_states[{k}]",
-                                f"need one state id per agent ({n})")
-        initials.append(tuple(str(s) for s in joint))
+    for k, joint in enumerate(
+            field(doc, "initial_states", "initial_states", list, lo=1)):
+        where = f"initial_states[{k}]"
+        initials.append(tuple(typed(s, f"{where}[{m}]", str) for m, s
+                              in enumerate(typed(joint, where, list, n, n))))
 
-    raw_prots = doc.get("agent_protocols", {})
-    if not isinstance(raw_prots, dict):
-        raise ScenarioError("agent_protocols",
-                            "must map agent ids to rule lists")
+    raw_prots = field(doc, "agent_protocols", "agent_protocols", dict, {})
+    ids = [str(i) for i in range(1, n + 1)]
+    for key in raw_prots:
+        if key not in ids:
+            raise ScenarioError(f"agent_protocols.{key}",
+                                f"no such agent among 1..{n}")
     protocols = []
     for i in range(1, n + 1):
-        rules_doc = raw_prots.get(str(i))
         where = f"agent_protocols.{i}"
-        if rules_doc is None:
-            # no table: the agent idles, every round
-            rules_doc = [{"guard": ["always"], "choices": [[]]}]
-        if not isinstance(rules_doc, list):
-            raise ScenarioError(where, "need a list of rules")
         rules = []
-        for k, rd in enumerate(rules_doc):
+        for k, rd in enumerate(field(raw_prots, str(i), where, list, [])):
             rw = f"{where}[{k}]"
-            if not isinstance(rd, dict):
-                raise ScenarioError(rw, "a rule must be an object")
-            guard = _guard_from_json(rd.get("guard", ["always"]), rw + ".guard",
-                                     n)
-            choices_doc = rd.get("choices")
-            if not isinstance(choices_doc, list) or not choices_doc:
-                raise ScenarioError(rw + ".choices",
-                                    "need a non-empty list of action sets")
+            guard = _guard_from_json(
+                typed(rd, rw, dict).get("guard", ["always"]), rw + ".guard", n)
             choices = []
-            for m, D in enumerate(choices_doc):
-                try:
-                    choices.append(frozenset(local_from_json(a, n) for a in D))
-                except (ValueError, TypeError, IndexError, KeyError) as e:
-                    raise ScenarioError(f"{rw}.choices[{m}]", f"bad hap: {e}")
+            for m, D in enumerate(field(rd, "choices", rw + ".choices", list,
+                                        lo=1)):
+                choices.append(decode_haps(D, f"{rw}.choices[{m}]",
+                                           local_from_json, n))
                 if not all(isinstance(a, Send) for a in choices[-1]):
                     raise ScenarioError(f"{rw}.choices[{m}]",
                                         "choices hold sends only")
             rules.append(Rule(guard, tuple(choices)))
         if not any(r.guard == ("always",) for r in rules):
+            # the fallback; an agent without a table idles every round
             rules.append(Rule(("always",), (frozenset(),)))
         protocols.append(AgentProtocol(i, tuple(rules)))
 
-    env_doc = _object(doc, "env_protocol")
-    menus_doc = env_doc.get("menus", [])
-    if not isinstance(menus_doc, list):
-        raise ScenarioError("env_protocol.menus", "need a list of menus")
-    caps = _object(doc, "caps")
-    menu_cap = caps.get("menu_cap", 4096)
-    if not isinstance(menu_cap, int) or menu_cap < 1:
-        raise ScenarioError("caps.menu_cap", "cap must be a positive integer")
+    env_doc = field(doc, "env_protocol", "env_protocol", dict, {})
+    caps = field(doc, "caps", "caps", dict, {})
+    menu_cap = field(caps, "menu_cap", "caps.menu_cap", int, 4096, lo=1)
     menus = []
-    for t, md in enumerate(menus_doc):
+    for t, md in enumerate(
+            field(env_doc, "menus", "env_protocol.menus", list, [])):
         where = f"env_protocol.menus[{t}]"
-        if not isinstance(md, dict):
-            raise ScenarioError(where, "a menu must be an object")
-        sets_doc = md.get("sets", [[]])
         menu = []
-        for k, S in enumerate(sets_doc):
-            try:
-                X = frozenset(_fill_sent_at(ghap_from_json(g, n), t)
-                              for g in S)
-            except (ValueError, TypeError, IndexError, KeyError) as e:
-                raise ScenarioError(f"{where}.sets[{k}]", f"bad hap: {e}")
-            for g in X:
-                if not is_event(g):
-                    raise ScenarioError(f"{where}.sets[{k}]",
-                                        "menus hold events only")
+        for k, S in enumerate(field(typed(md, where, dict), "sets",
+                                    where + ".sets", list, [[]])):
+            X = decode_haps(S, f"{where}.sets[{k}]", ghap_from_json, n, t)
+            if not all(is_event(g) for g in X):
+                raise ScenarioError(f"{where}.sets[{k}]",
+                                    "menus hold events only")
             if not check_t_coherent(X, t):
                 raise ScenarioError(f"{where}.sets[{k}]",
                                     f"event set is not {t}-coherent")
             menu.append(X)
         if not menu:
             menu = [frozenset()]
-        if md.get("close"):
+        if field(md, "close", where + ".close", bool, False):
             try:
                 menu = list(close_menu(tuple(menu), n, t, cap=menu_cap))
             except ValueError as e:
@@ -222,47 +180,35 @@ def scenario_from_json(doc: dict, name: str,
     if not menus:
         menus = [(frozenset(),)]
 
-    trust_doc = doc.get("trust_table", [])
     entries = {}
-    for k, ed in enumerate(trust_doc):
+    for k, ed in enumerate(field(doc, "trust_table", "trust_table", list, [])):
         where = f"trust_table[{k}]"
-        try:
-            sender, receiver, msg = ed["from"], ed["to"], ed["msg"]
-        except (KeyError, TypeError):
-            raise ScenarioError(where, "need from, to and msg")
-        for a in (sender, receiver):
-            if not isinstance(a, int) or not (1 <= a <= n):
-                raise ScenarioError(where, f"agent {a!r} out of range 1..{n}")
-        text = ed.get("formula")
-        if not isinstance(text, str):
-            raise ScenarioError(where + ".formula", "need a formula string")
+        typed(ed, where, dict)
+        key = (agent_id(ed.get("from"), n, where + ".from"),
+               agent_id(ed.get("to"), n, where + ".to"),
+               field(ed, "msg", where + ".msg", str))
+        text = field(ed, "formula", where + ".formula", str)
         try:
             phi = parse_formula(text, n=n)
         except ValueError as e:
             raise ScenarioError(where + ".formula", str(e))
-        chain = tuple(ed.get("chain", []))
-        if any(not isinstance(a, int) or not (1 <= a <= n) for a in chain):
-            raise ScenarioError(where + ".chain", f"agents must lie in 1..{n}")
-        entries[(sender, receiver, msg)] = (phi, chain)
+        entries[key] = (phi, tuple(
+            agent_id(a, n, where + ".chain")
+            for a in field(ed, "chain", where + ".chain", list, [])))
     try:
         trust = TrustTable(entries)
     except ValueError as e:
         raise ScenarioError("trust_table", str(e))
 
-    adv = _object(doc, "adversary")
-    mode = adv.get("mode", "seeded")
+    adv = field(doc, "adversary", "adversary", dict, {})
+    mode = field(adv, "mode", "adversary.mode", str, "seeded")
     if mode not in ("seeded", "enumerate"):
         raise ScenarioError("adversary.mode", f"unknown mode {mode!r}")
-    seed = adv.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("adversary.seed", "seed must be an integer")
-
-    cap = node_cap if node_cap is not None else caps.get("node_cap", 10 ** 6)
-    if not isinstance(cap, int) or cap < 1:
-        raise ScenarioError("caps.node_cap", "cap must be a positive integer")
+    seed = field(adv, "seed", "adversary.seed", int, 0)
+    cap = field(caps, "node_cap", "caps.node_cap", int, 10 ** 6, lo=1)
 
     ctx = AgentContext(
         n=n, env=EnvProtocol(tuple(menus)), protocols=tuple(protocols),
-        initials=tuple(initials), template=template, f=f,
-        horizon=horizon, node_cap=cap)
+        initials=tuple(initials), template=template, f=f, horizon=horizon,
+        node_cap=cap if node_cap is None else node_cap)
     return Scenario(name=name, ctx=ctx, trust=trust, seed=seed)

@@ -16,8 +16,14 @@ Global haps:
 Sets of haps serialize as sorted arrays, so equal sets always produce
 identical text.  The decoders take the agent count n and check while
 they decode: every agent a hap names, nested haps and GMIs included,
-lies in 1..n, a byz_action carries only gsends and a byz_event only a
-grecv or a gext.  A violation raises ValueError.
+is an integer in 1..n, messages and events are strings, copies and
+timestamps are integers, a byz_action carries only gsends and a
+byz_event only a grecv or a gext.  A violation raises ValueError (or
+whatever indexing the malformed value raises); `decode_haps` turns any
+of these into an `InputError` at a given place.
+
+Every check of a JSON value read from a scenario file or a trace goes
+through `typed` and `field`, which raise `InputError(where, message)`.
 """
 
 from __future__ import annotations
@@ -41,22 +47,66 @@ def local_to_json(a: LocalHap) -> list:
     raise TypeError(f"not a local hap: {a!r}")
 
 
-def agent_id(v, n: int) -> int:
-    """`v` when it names one of agents 1..n; ValueError otherwise."""
-    if not (isinstance(v, int) and 1 <= v <= n):
-        raise ValueError(f"agent {v!r} out of range 1..{n}")
+class InputError(ValueError):
+    """Malformed input; `where` is a JSON path or a `file:line`."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: {message}")
+        self.where = where
+
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def typed(v, where: str, kind: type, lo=None, hi=None):
+    """`v` when it is a JSON value of `kind` (a bool is not an int) and,
+    if `lo` is given, its value (an int) or length (a str or list) lies
+    in lo..hi; InputError at `where` otherwise.  None is of no kind."""
+    if type(v) is not kind and (kind is int or not isinstance(v, kind)):
+        raise InputError(where, f"need {_KIND_NAMES[kind]}, got {v!r}")
+    if lo is not None:
+        size = v if kind is int else len(v)
+        if size < lo or (hi is not None and size > hi):
+            span = f"{lo} or more" if hi is None else f"in {lo}..{hi}"
+            what = "" if kind is int else " whose length is"
+            raise InputError(
+                where, f"need {_KIND_NAMES[kind]}{what} {span}, got {v!r}")
     return v
+
+
+def field(doc: dict, key: str, where: str, kind: type, default=None,
+          lo=None, hi=None):
+    """`typed(doc[key], where, ...)`, or of `default` when the key is
+    absent; a key without a default is required."""
+    return typed(doc.get(key, default), where, kind, lo, hi)
+
+
+def decode_haps(v, where: str, decode, *args) -> frozenset:
+    """The set of haps `decode(h, *args)` gives for each h of the JSON
+    list `v`; any error a malformed hap raises becomes InputError at
+    `where`."""
+    typed(v, where, list)
+    try:
+        return frozenset(decode(h, *args) for h in v)
+    except (ValueError, TypeError, IndexError, KeyError) as e:
+        raise InputError(where, f"bad hap: {e}") from None
+
+
+def agent_id(v, n: int, where: str = "agent") -> int:
+    """`v` when it names one of agents 1..n; InputError otherwise."""
+    return typed(v, where, int, 1, n)
 
 
 def local_from_json(v: list, n: int) -> LocalHap:
     kind = v[0]
     if kind == "send":
-        copy = v[3] if len(v) > 3 else 0
-        return Send(agent_id(v[1], n), v[2], copy)
+        copy = typed(v[3], "copy", int) if len(v) > 3 else 0
+        return Send(agent_id(v[1], n), typed(v[2], "msg", str), copy)
     if kind == "recv":
-        return Recv(agent_id(v[1], n), v[2])
+        return Recv(agent_id(v[1], n), typed(v[2], "msg", str))
     if kind == "ext":
-        return External(v[1])
+        return External(typed(v[1], "event", str))
     raise ValueError(f"unknown local hap kind {kind!r}")
 
 
@@ -66,7 +116,8 @@ def _gmi_to_json(g: Optional[GMI]):
 
 def _gmi_from_json(v, n: int) -> Optional[GMI]:
     return None if v is None else \
-        GMI(agent_id(v[0], n), agent_id(v[1], n), v[2], v[3], v[4])
+        GMI(agent_id(v[0], n), agent_id(v[1], n), typed(v[2], "msg", str),
+            typed(v[3], "copy", int), typed(v[4], "sent_at", int))
 
 
 def ghap_to_json(g: GlobalHap) -> list:
@@ -93,33 +144,39 @@ def ghap_to_json(g: GlobalHap) -> list:
     raise TypeError(f"not a global hap: {g!r}")
 
 
-def _gsend_from_json(v, n: int) -> Optional[GSend]:
+def _gsend_from_json(v, n: int, t: Optional[int]) -> Optional[GSend]:
     if v is None:
         return None
     if v[0] != "gsend":
         raise ValueError("byz_action carries gsends only")
-    return ghap_from_json(v, n)
+    return ghap_from_json(v, n, t)
 
 
-def ghap_from_json(v: list, n: int) -> GlobalHap:
-    """The hap `v` encodes, every agent it names checked against 1..n."""
+def ghap_from_json(v: list, n: int, t: Optional[int] = None) -> GlobalHap:
+    """The hap `v` encodes, every agent it names checked against 1..n.
+    A gsend's null `sent_at` is allowed only when `t`, the timestamp of
+    the menu the hap appears in, is given, and is filled with it."""
     kind = v[0]
     if kind == "gsend":
-        return GSend(agent_id(v[1], n), agent_id(v[2], n), v[3], v[4], v[5])
+        sent_at = t if v[5] is None and t is not None else v[5]
+        return GSend(agent_id(v[1], n), agent_id(v[2], n),
+                     typed(v[3], "msg", str), typed(v[4], "copy", int),
+                     typed(sent_at, "sent_at", int))
     if kind == "grecv":
-        return GRecv(agent_id(v[1], n), agent_id(v[2], n), v[3],
+        return GRecv(agent_id(v[1], n), agent_id(v[2], n),
+                     typed(v[3], "msg", str),
                      _gmi_from_json(v[4], n) if len(v) > 4 else None)
     if kind == "gext":
-        return GExternal(agent_id(v[1], n), v[2])
+        return GExternal(agent_id(v[1], n), typed(v[2], "event", str))
     if kind == "fail":
         return ByzAction(agent_id(v[1], n), None, None)
     if kind == "byz_action":
-        return ByzAction(agent_id(v[1], n), _gsend_from_json(v[2], n),
-                         _gsend_from_json(v[3], n))
+        return ByzAction(agent_id(v[1], n), _gsend_from_json(v[2], n, t),
+                         _gsend_from_json(v[3], n, t))
     if kind == "byz_event":
         if v[2][0] not in ("grecv", "gext"):
             raise ValueError("byz_event carries a grecv or a gext")
-        return ByzEvent(agent_id(v[1], n), ghap_from_json(v[2], n))
+        return ByzEvent(agent_id(v[1], n), ghap_from_json(v[2], n, t))
     if kind == "go":
         return Go(agent_id(v[1], n))
     if kind == "sleep":

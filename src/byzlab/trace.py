@@ -19,13 +19,14 @@ import json
 from typing import List, Tuple
 
 from .haps import Run, apply_round, initial_state
-from .serial import ghap_from_json, ghap_to_json, hapset_to_json
+from .serial import (
+    InputError, decode_haps, field, ghap_from_json, ghap_to_json,
+    hapset_to_json, typed,
+)
 
 TRACE_VERSION = 1
 
-
-class TraceError(ValueError):
-    pass
+TraceError = InputError  # `where` is `file:line`, and the key if any
 
 
 def _dumps(obj) -> str:
@@ -53,46 +54,40 @@ def write_trace(path: str, run: Run, scenario: str, seed=None) -> None:
             fh.write(line + "\n")
 
 
+def _record(at: str, line: str, kind: str) -> dict:
+    """The JSON object on the line at `at`, which must be a `kind` record."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise TraceError(at, f"not valid JSON ({e})")
+    if typed(rec, at, dict).get("kind") != kind:
+        raise TraceError(at, f"expected a {kind} record")
+    return rec
+
+
 def read_trace(path: str) -> Tuple[Run, dict]:
     """Load a trace and rebuild the full run it records."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
-        raise TraceError(f"{path}: empty trace")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise TraceError(f"{path}:1: not valid JSON ({e})")
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise TraceError(f"{path}:1: first line must be the header")
-    if header.get("version") != TRACE_VERSION:
-        raise TraceError(f"{path}:1: unsupported version {header.get('version')!r}")
-    n = header.get("agents")
-    if not isinstance(n, int) or n < 1:
-        raise TraceError(f"{path}:1: agents must be a positive integer")
-    initials = header.get("initials")
-    if not isinstance(initials, list) \
-            or not all(isinstance(s, str) for s in initials):
-        raise TraceError(f"{path}:1: initials must be a list of state ids")
-    if len(initials) != n:
-        raise TraceError(f"{path}:1: got {len(initials)} initial states for {n} agents")
+        raise TraceError(path, "empty trace")
+    at = f"{path}:1"
+    header = _record(at, lines[0], "header")
+    if field(header, "version", f"{at}: version", int) != TRACE_VERSION:
+        raise TraceError(at, f"unsupported version {header['version']!r}")
+    n = field(header, "agents", f"{at}: agents", int, lo=1)
+    initials = [typed(s, f"{at}: initials", str) for s in
+                field(header, "initials", f"{at}: initials", list, lo=n, hi=n)]
 
     state = initial_state(initials)
     states = [state]
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise TraceError(f"{path}:{lineno}: not valid JSON ({e})")
-        if not isinstance(rec, dict) or rec.get("kind") != "round":
-            raise TraceError(f"{path}:{lineno}: expected a round record")
-        if rec.get("t") != lineno - 2:
-            raise TraceError(f"{path}:{lineno}: rounds out of order "
-                             f"(t={rec.get('t')!r}, expected {lineno - 2})")
-        try:
-            rnd = frozenset(ghap_from_json(v, n) for v in rec["haps"])
-        except (ValueError, TypeError, IndexError, KeyError) as e:
-            raise TraceError(f"{path}:{lineno}: bad hap ({e})")
-        state = apply_round(state, rnd)
+        at = f"{path}:{lineno}"
+        rec = _record(at, line, "round")
+        if field(rec, "t", f"{at}: t", int) != lineno - 2:
+            raise TraceError(at, f"rounds out of order (t={rec['t']!r}, "
+                             f"expected {lineno - 2})")
+        state = apply_round(state, decode_haps(
+            rec.get("haps"), f"{at}: haps", ghap_from_json, n))
         states.append(state)
     return Run(tuple(states)), header

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from byzlab.cli import main
 from byzlab.engine import seeded_run
 from byzlab.scenario import ScenarioError, load_scenario, scenario_from_json
-from byzlab.trace import TraceError, read_trace
+from byzlab.trace import TraceError, read_trace, trace_lines
 from tests.conftest import SCENARIO_NAMES, scenario_path
 
 
@@ -136,6 +137,18 @@ def _relay_adversary_list(doc):
     doc["adversary"] = []
 
 
+def _put(*path, value):
+    """A mutation that sets the node at `path` of the document to `value`."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+_GUARD = ("agent_protocols", "2", 0, "guard")
+
+
 @pytest.mark.parametrize("mutate, where", [
     (_relay_choice, "agent_protocols.2[0].choices[0]"),
     (_relay_choice_agent, "agent_protocols.2[0].choices[0]"),
@@ -156,12 +169,35 @@ def _relay_adversary_list(doc):
     (_relay_menu_list, "env_protocol.menus[0]"),
     (_relay_caps_list, "caps"),
     (_relay_adversary_list, "adversary"),
+    (_put("env_protocol", "menus", 1, "sets", value=5),
+     "env_protocol.menus[1].sets"),
+    (_put("trust_table", value=5), "trust_table"),
+    (_put("trust_table", 1, "chain", value=5), "trust_table[1].chain"),
+    (_put(*_GUARD, value=["active_at_least", "x"]),
+     "agent_protocols.2[0].guard"),
+    (_put("trust_table", 0, "msg", value=["a24"]), "trust_table[0].msg"),
+    (_put(*_GUARD, value=["initial", ["s"]]), "agent_protocols.2[0].guard"),
+    (_put(*_GUARD, value=["received", 4, 7]), "agent_protocols.2[0].guard"),
+    (_put(*_GUARD, value=["sent", 3, None]), "agent_protocols.2[0].guard"),
+    (_put("env_protocol", "menus", 0, "close", value="no"),
+     "env_protocol.menus[0].close"),
+    (_put("agents", value=True), "agents"),
+    (_put("horizon", value=True), "horizon"),
+    (_put("adversary", "seed", value=True), "adversary.seed"),
+    (_put("agent_protocols", "9", value=[]), "agent_protocols.9"),
+    (_put("initial_states", 0, 2, value=None), "initial_states[0][2]"),
+    (_put("agent_protocols", "2", 0, "choices", value=[[["send", 3, 5, 0]]]),
+     "agent_protocols.2[0].choices[0]"),
 ], ids=["choice-kind", "choice-agent", "observed-agent", "received-agent",
         "sent-agent", "menu-agent", "menu-hap-object", "protocols-list", "guard-arity",
         "trust-formula", "byz-action-sender", "byz-action-go",
         "byz-event-sender", "grecv-sender", "env-list", "menus-object",
         "menu-list",
-        "caps-list", "adversary-list"])
+        "caps-list", "adversary-list", "sets-int", "trust-table-int",
+        "chain-int", "active-at-least-string", "trust-msg-list",
+        "initial-list", "received-msg-int", "sent-msg-null", "close-string",
+        "agents-true", "horizon-true", "seed-true", "protocol-key-9",
+        "initial-state-null", "choice-msg-int"])
 def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
                                                where):
     with open(scenario_path("s05_relay")) as fh:
@@ -281,8 +317,12 @@ def test_cli_node_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BYZLAB_NODE_CAP", "2")
     assert main(["check", scenario_path("s08_delivery_race"),
                  "--formula", "faulty(1)"]) == 3
-    monkeypatch.setenv("BYZLAB_NODE_CAP", "many")
-    assert main(["validate", scenario_path("s01_quiet")]) == 2
+    capsys.readouterr()
+    # s01_quiet has no caps, so the error must name the variable
+    for raw in ("many", "0", "-4", "2.5"):
+        monkeypatch.setenv("BYZLAB_NODE_CAP", raw)
+        assert main(["validate", scenario_path("s01_quiet")]) == 2
+        assert "error: BYZLAB_NODE_CAP: " in capsys.readouterr().err, raw
 
 
 def test_trace_rejects_corruption(tmp_path):
@@ -309,6 +349,11 @@ HEADER = {"kind": "header", "version": 1, "scenario": "s", "seed": 0,
     ([HEADER, {"kind": "round", "t": 0, "haps": [["gext", 0, "e"]]}], 2),
     ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 1]]},
       {"kind": "round", "t": 1, "haps": [["grecv", 1, 9, "m", None]]}], 3),
+    ([{**HEADER, "agents": True, "initials": ["s"]}], 1),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["gext", 1, 7]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["gsend", 1, 2, "m", 0, None]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", True]]}], 2),
     ([HEADER, {"kind": "round", "t": 0,
                "haps": [["byz_action", 2, ["gext", 2, "e"], None]]}], 2),
     ([HEADER, {"kind": "round", "t": 0,
@@ -319,6 +364,7 @@ HEADER = {"kind": "header", "version": 1, "scenario": "s", "seed": 0,
                "haps": [["grecv", 2, 1, "m", [1, 9, "m", 0, 0]]]}], 2),
 ], ids=["header-array", "no-agents", "agents-string", "no-initials",
         "initials-string", "agent-above-n", "agent-zero", "grecv-sender",
+        "agents-true", "gext-event-int", "sent-at-null", "agent-true",
         "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent"])
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
@@ -327,3 +373,87 @@ def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
         read_trace(str(p))
     assert main(["detect", scenario_path("s01_quiet"),
                  "--trace", str(p)]) == 2
+
+
+# -- fuzzing: one JSON node replaced by a value of another JSON type --------
+
+def _json_type(v) -> str:
+    return "bool" if isinstance(v, bool) else type(v).__name__
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9)
+    | st.text("ab1", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+def _paths(v, path=()):
+    """The path of every node of the JSON value `v`, `v` itself included."""
+    yield path
+    items = v.items() if isinstance(v, dict) else \
+        enumerate(v) if isinstance(v, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, draw):
+    """`doc` with the node at `path` replaced by a value of another type."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    new = draw(json_values.filter(lambda v: _json_type(v) != _json_type(old)))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+CORPUS = {name: _load_json(scenario_path(name)) for name in SCENARIO_NAMES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SCENARIO_NAMES), st.data())
+def test_fuzzed_scenario_loads_or_raises_scenario_error(name, data):
+    doc = CORPUS[name]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    try:
+        scenario_from_json(_replaced(doc, path, data.draw), name)
+    except ScenarioError:
+        pass
+
+
+def _trace_records(name):
+    sc = load_scenario(scenario_path(name), name=name)
+    run = seeded_run(sc.ctx, 0)
+    return [json.loads(ln) for ln in trace_lines(run, name, 0)]
+
+
+TRACES = {name: _trace_records(name) for name in SCENARIO_NAMES}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENARIO_NAMES), st.data())
+def test_fuzzed_trace_reads_or_raises_trace_error(tmp_path, name, data):
+    records = TRACES[name]
+    # a header field, or any node of a round's haps
+    paths = [(0, key) for key in records[0]] + [
+        (k, "haps") + p for k in range(1, len(records))
+        for p in _paths(records[k]["haps"]) if p]
+    path = data.draw(st.sampled_from(paths))
+    p = tmp_path / "fuzzed.trace"
+    p.write_text("".join(json.dumps(rec) + "\n"
+                         for rec in _replaced(records, path, data.draw)))
+    try:
+        read_trace(str(p))
+    except TraceError:
+        pass

@@ -10,11 +10,11 @@ summary row per scenario and exits non-zero on any refuted verdict.
 
 With --stress H it instead builds one system of the stress family, the
 benchmark's `formulas` scenario (perfbench/gen.py, seed 1) with its
-round-0 menu repeated for H rounds, and prints one row: runs, tree
-nodes, expanded distinct states (the states enumeration stepped from),
+round-0 menu repeated for H rounds, and prints one row: runs, distinct
+states, expanded distinct states (the states enumeration stepped from),
 histories, verdicts, the seconds spent enumerating, classing every
 agent's histories and cross-checking, and the process's peak RSS.
-Through the run list, H=5 takes a few seconds and about 150 MB; each
+Through the run list, H=5 takes about two seconds and 95 MB; each
 further round multiplies both by about eight.
 
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
@@ -59,7 +59,7 @@ def sweep(name):
     }
 
 
-STRESS_COLUMNS = [("horizon", 8), ("runs", 8), ("tree_nodes", 12),
+STRESS_COLUMNS = [("horizon", 8), ("runs", 8), ("states", 8),
                   ("expanded", 10), ("histories", 11), ("verdicts", 10),
                   ("refuted", 9), ("enumerate_s", 13), ("classes_s", 11),
                   ("cross_check_s", 15), ("peak_rss_mb", 13)]
@@ -83,7 +83,7 @@ def stress(horizon):
     nodes = {id(s): (t, s) for r in runs
              for t, s in enumerate(r.states[:-1])}.values()
     return {
-        "horizon": horizon, "runs": len(runs), "tree_nodes": system.nodes,
+        "horizon": horizon, "runs": len(runs), "states": system.nodes,
         "expanded": len({(t, s.locals, s.sent, s.delivered, s.faulty)
                          for t, s in nodes}),
         "histories": histories, "verdicts": len(verdicts),

@@ -91,7 +91,8 @@ def cmd_detect(args) -> int:
         raise InputError(args.trace, f"{header['agents']} agents, "
                          f"scenario has {n}")
     queries = [_parse_query(q) for q in args.query]
-    agents = [args.agent] if args.agent else list(range(1, n + 1))
+    agents = list(range(1, n + 1)) if args.agent is None else \
+        [typed(args.agent, "--agent", int, 1, n)]
     report = {"scenario": sc.name, "trace": args.trace, "agents": {}}
     for i in agents:
         h = run.local(i, run.horizon)

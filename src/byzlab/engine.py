@@ -3,8 +3,9 @@
 A round from timestamp t to t+1 runs through protocol, adversary,
 labeling, filtering and updating phases.  `enumerate_runs` explores every
 adversary choice exhaustively up to the context horizon, stepping once
-per distinct state rather than once per tree node; `seeded_run`
-resolves each choice point deterministically from a seed.
+per distinct future key and building each distinct state once, rather
+than once per tree node; `seeded_run` resolves each choice point
+deterministically from a seed.
 """
 
 from __future__ import annotations
@@ -69,16 +70,14 @@ def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
 
     Sleep and hibernate brand an agent faulty just like byzantine events,
     so they count against (and are removed with) the budget.  Causality
-    is checked again on the stripped set, so a delivery of a stripped
-    byzantine send dies with that send.
+    drops deliveries only, never a fault event, so the budget is decided
+    on the whole set first; causality then runs on what the budget kept,
+    and a delivery of a stripped byzantine send dies with that send.
     """
-    beta = filter_env_B(state, X_eps, alphas)
-    would_be = state.faulty.union(
-        g.agent for g in beta if isinstance(g, FAULT_KINDS))
-    if len(would_be) > f:
-        beta = filter_env_B(state, frozenset(
-            g for g in X_eps if not isinstance(g, FAULT_KINDS)), alphas)
-    return beta
+    if len(state.faulty.union(
+            g.agent for g in X_eps if isinstance(g, FAULT_KINDS))) > f:
+        X_eps = frozenset(g for g in X_eps if not isinstance(g, FAULT_KINDS))
+    return filter_env_B(state, X_eps, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +156,13 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
     call maps each key to its children, one per (env choice, agent
     combo) in menu order, each kept as (round record, locals, sent,
     delivered, faulty) from one `step` call when the key is first
-    reached.  Every tree node still gets its own `GlobalState`, built
-    over its own env, so runs and their order are those of a plain
-    walk that steps at every node.  `ctx.node_cap` caps the tree edges.
+    reached.  Children of one parent with equal round records are one
+    state, since the update is deterministic: the walk builds it and
+    its subtree at the first of them and, at each later one, repeats
+    the runs that subtree gave, sharing their `Run` objects.  So every
+    state built is distinct by value, while the runs and their order
+    are those of a plain walk that steps at every tree node.
+    `ctx.node_cap` caps the tree edges, repeated subtrees included.
     """
     cap = ctx.node_cap
     runs: List[Run] = []
@@ -182,18 +185,31 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
             children = table[key] = [
                 (s.env[-1], s.locals, s.sent, s.delivered, s.faulty)
                 for s in nexts]
+        done = {}  # round record -> (slice of its runs, edges to them)
         for rnd, locals_, sent, delivered, faulty in children:
-            explored += 1
+            twin = done.get(rnd)
+            explored += 1 if twin is None else twin[2]
             if explored > cap:
                 raise CapExceeded(
                     f"enumeration exceeded {cap} explored nodes")
+            if twin is not None:
+                runs.extend(runs[twin[0]:twin[1]])
+                continue
+            lo, before = len(runs), explored - 1
             prefix.append(GlobalState(state.env + (rnd,), locals_, sent,
                                       delivered, faulty))
             walk(prefix, t + 1)
             prefix.pop()
+            done[rnd] = lo, len(runs), explored - before
 
-    for initials in ctx.initials:
-        walk([initial_state(initials)], 0)
+    try:
+        for initials in ctx.initials:
+            walk([initial_state(initials)], 0)
+    finally:
+        # `walk` refers to itself through its closure; breaking that
+        # cycle frees the table on return instead of at the next
+        # collection of the cyclic garbage collector
+        walk = None
     return runs
 
 

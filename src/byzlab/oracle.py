@@ -9,11 +9,12 @@ round still offers activity.
 
 Each formula is compiled once into a table of subformula ids, shared by
 structure across every formula the system sees.  Points that hold the
-same `GlobalState` object form one node (enumeration shares prefix
-states between runs), and a subformula whose value is a function of the
-state is evaluated once per node.  Only `G` and custom propositions
-outside any `K` depend on the point itself and are kept per point;
-knowledge is kept per history of its agent.
+same `GlobalState` object form one node (enumeration builds each
+distinct state once and shares it between runs), and a subformula whose
+value is a function of the state is evaluated once per node.  Only `G`
+and custom propositions outside any `K` depend on the point itself and
+are kept per point; knowledge is kept per history of its agent, and the
+classes of histories are built per node.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .atoms import AtomTimeError, Correct, eval_atom
 from .formulas import (
     Always, And, Atom, Believe, Formula, Hope, Implies, Know, Not, Or,
 )
-from .haps import AgentId, LocalHistory, Run, Timestamp
+from .haps import AgentId, GlobalState, LocalHistory, Run, Timestamp
 
 Point = Tuple[int, Timestamp]  # (run index, time)
 
@@ -55,11 +56,27 @@ class InterpretedSystem:
         # agent -> (node -> class index, class index -> its points, class
         # index -> the first point of each distinct node in the class)
         self._class_index: Dict[AgentId, tuple] = {}
+        # Nodes are numbered in the order of their first points.  Runs
+        # that enumeration repeats are one `Run` object and share a row.
+        self._states: List[GlobalState] = []  # node -> its state
+        self._first_at: List[Point] = []      # node -> its first point
+        self._node_at: List[List[int]] = []   # run index -> t -> node
         node_of: Dict[int, int] = {}  # id of a GlobalState -> its node
-        # run index -> t -> node
-        self._node_at = [[node_of.setdefault(id(state), len(node_of))
-                          for state in run.states] for run in self.runs]
-        self.nodes = len(node_of)  # distinct states among the points
+        rows: Dict[int, List[int]] = {}  # id of a Run -> its row
+        for ridx, run in enumerate(self.runs):
+            row = rows.get(id(run))
+            if row is None:
+                row = rows[id(run)] = []
+                for t, state in enumerate(run.states):
+                    node = node_of.setdefault(id(state), len(node_of))
+                    if node == len(self._states):
+                        self._states.append(state)
+                        self._first_at.append((ridx, t))
+                    row.append(node)
+            self._node_at.append(row)
+        self.nodes = len(self._states)  # distinct states among the points
+        # every (point, node) in point order, built with the first classes
+        self._points: Optional[List[tuple]] = None
 
     # -- points ------------------------------------------------------------
 
@@ -74,21 +91,21 @@ class InterpretedSystem:
 
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
+            if self._points is None:
+                self._points = [((ridx, t), node)
+                                for ridx, row in enumerate(self._node_at)
+                                for t, node in enumerate(row)]
+            # one hash per node; classes are numbered, and each one's
+            # firsts listed, in the order of the nodes' first points
             ids: Dict[LocalHistory, int] = {}
-            members: List[List[Point]] = []
-            firsts: List[List[Point]] = []
-            index = [-1] * self.nodes
-            for ridx, nodes in enumerate(self._node_at):
-                for t, node in enumerate(nodes):
-                    k = index[node]
-                    if k < 0:
-                        h = self.runs[ridx].states[t].locals[agent - 1]
-                        k = index[node] = ids.setdefault(h, len(ids))
-                        if k == len(members):
-                            members.append([])
-                            firsts.append([])
-                        firsts[k].append((ridx, t))
-                    members[k].append((ridx, t))
+            index = [ids.setdefault(s.locals[agent - 1], len(ids))
+                     for s in self._states]
+            members: List[List[Point]] = [[] for _ in ids]
+            firsts: List[List[Point]] = [[] for _ in ids]
+            for k, p in zip(index, self._first_at):
+                firsts[k].append(p)
+            for p, node in self._points:
+                members[index[node]].append(p)
             self._classes[agent] = dict(zip(ids, members))
             self._class_index[agent] = (index, members, firsts)
         return self._classes[agent]

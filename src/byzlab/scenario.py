@@ -41,7 +41,6 @@ with its JSON path, like every other violation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +53,7 @@ from .protocols import (
 )
 from .serial import (
     InputError, agent_id, decode_haps, field, ghap_from_json, local_from_json,
-    typed,
+    parse_json, read_text, typed,
 )
 
 ScenarioError = InputError  # `where` is a path into the JSON document
@@ -98,11 +97,7 @@ def _guard_from_json(v, where: str, n: int) -> tuple:
 
 def load_scenario(path: str, name: Optional[str] = None,
                   node_cap: Optional[int] = None) -> Scenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(path, f"not valid JSON ({e})")
+    doc = parse_json(read_text(path), path)
     return scenario_from_json(doc, name or path, node_cap)
 
 

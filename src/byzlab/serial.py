@@ -22,8 +22,10 @@ byz_event only a grecv or a gext.  A violation raises ValueError (or
 whatever indexing the malformed value raises); `decode_haps` turns any
 of these into an `InputError` at a given place.
 
-Every check of a JSON value read from a scenario file or a trace goes
-through `typed` and `field`, which raise `InputError(where, message)`.
+Scenario files and traces are read through `read_text` and
+`parse_json`, and every check of a JSON value read from them goes
+through `typed` and `field`; all of these raise
+`InputError(where, message)`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ def typed(v, where: str, kind: type, lo=None, hi=None):
             raise InputError(
                 where, f"need {_KIND_NAMES[kind]}{what} {span}, got {v!r}")
     return v
+
+
+def read_text(path: str) -> str:
+    """The text of the file at `path`; InputError at `path:line` when
+    its bytes are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise InputError(f"{path}:{line}", f"not UTF-8 text ({e.reason} "
+                         f"at byte {e.start})") from None
+
+
+def parse_json(text: str, where: str):
+    """The JSON value `text` holds; InputError at `where` when it is not
+    JSON or nests past the interpreter's recursion limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(where, f"not valid JSON ({e})") from None
+    except RecursionError:
+        raise InputError(where, "JSON nested too deeply to read") from None
 
 
 def field(doc: dict, key: str, where: str, kind: type, default=None,

@@ -21,7 +21,7 @@ from typing import List, Tuple
 from .haps import Run, apply_round, initial_state
 from .serial import (
     InputError, decode_haps, field, ghap_from_json, ghap_to_json,
-    hapset_to_json, typed,
+    hapset_to_json, parse_json, read_text, typed,
 )
 
 TRACE_VERSION = 1
@@ -56,10 +56,7 @@ def write_trace(path: str, run: Run, scenario: str, seed=None) -> None:
 
 def _record(at: str, line: str, kind: str) -> dict:
     """The JSON object on the line at `at`, which must be a `kind` record."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise TraceError(at, f"not valid JSON ({e})")
+    rec = parse_json(line, at)
     if typed(rec, at, dict).get("kind") != kind:
         raise TraceError(at, f"expected a {kind} record")
     return rec
@@ -67,8 +64,7 @@ def _record(at: str, line: str, kind: str) -> dict:
 
 def read_trace(path: str) -> Tuple[Run, dict]:
     """Load a trace and rebuild the full run it records."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise TraceError(path, "empty trace")
     at = f"{path}:1"

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -7,7 +8,7 @@ from byzlab.haps import (
     FAULT_KINDS, GSend, Go, Hib, LocalHistory, Sleep, is_event, localize,
 )
 from byzlab.oracle import InterpretedSystem
-from byzlab.scenario import load_scenario
+from byzlab.scenario import load_scenario, scenario_from_json
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -28,6 +29,27 @@ def suite():
         runs = enumerate_runs(sc.ctx)
         out[name] = (sc, runs, InterpretedSystem(
             runs, quiescent=sc.ctx.env.span <= sc.ctx.horizon))
+    return out
+
+
+def perfbench_gen():
+    """perfbench/gen.py, loaded from its file without touching sys.path."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.fixture(scope="session")
+def contexts(suite):
+    """name -> context of every corpus scenario and of the 8 `closed`
+    benchmark systems of seed 1, whose closed round-0 menus give many
+    choices of one parent the same round record."""
+    out = {name: sc.ctx for name, (sc, _, _) in suite.items()}
+    for k, doc in enumerate(perfbench_gen().closed(1)):
+        out[f"closed{k}"] = scenario_from_json(doc, f"closed{k}").ctx
     return out
 
 

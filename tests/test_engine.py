@@ -15,6 +15,7 @@ from byzlab.haps import (
     FAULT_KINDS, ByzAction, ByzEvent, GExternal, GlobalState, GRecv, GSend,
     Go, Hib, Recv, Send, Sleep, fail, globalize, initial_state,
 )
+from byzlab.oracle import InterpretedSystem
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule, check_t_coherent
 from byzlab.scenario import ScenarioError, scenario_from_json
 from byzlab.serial import ghap_to_json
@@ -164,6 +165,56 @@ def test_enumeration_cap(suite):
         assert enumerate_runs(replace(sc.ctx, node_cap=edges)) == runs, name
         with pytest.raises(CapExceeded):
             enumerate_runs(replace(sc.ctx, node_cap=edges - 1))
+
+
+def ref_edges(ctx):
+    """The reference walk's tree edges in walk order, each flagged when
+    it leads to or lies below a repeated child: one whose state equals
+    that of an earlier child of the same parent."""
+    flags = []
+
+    def walk(state, t, repeated):
+        if t == ctx.horizon:
+            return
+        agent_opts = [ctx.protocol(i)(state.local(i))
+                      for i in range(1, ctx.n + 1)]
+        seen = set()
+        for env_choice in ctx.env(t):
+            for combo in itertools.product(*agent_opts):
+                child = ref_step(ctx, state, t, env_choice, combo)
+                flags.append(repeated or child in seen)
+                walk(child, t + 1, flags[-1])
+                seen.add(child)
+
+    for initials in ctx.initials:
+        walk(initial_state(initials), 0, False)
+    return flags
+
+
+@pytest.mark.parametrize("name", ["s07_sleep", "s15_stripped_send"])
+def test_enumeration_cap_inside_a_repeated_subtree(suite, name):
+    # the walk adds a repeated child's subtree to the count in one go; a
+    # cap the reference walk exceeds on that subtree must still raise
+    sc, runs, _ = suite[name]
+    flags = ref_edges(sc.ctx)
+    inside = [k for k, repeated in enumerate(flags) if repeated]
+    assert inside
+    for cap in inside:
+        with pytest.raises(CapExceeded, match=f"exceeded {cap} explored"):
+            enumerate_runs(replace(sc.ctx, node_cap=cap))
+    assert enumerate_runs(replace(sc.ctx, node_cap=len(flags))) == runs
+
+
+def test_enumeration_builds_each_distinct_state_once(contexts):
+    # children of one parent with equal round records share one state,
+    # and their subtrees share runs; the run list is the reference's
+    for name, ctx in contexts.items():
+        runs = enumerate_runs(ctx)
+        assert [r.states for r in runs] == list(ref_runs(ctx)), name
+        states = {s for r in runs for s in r.states}
+        assert InterpretedSystem(runs).nodes == len(states), name
+        assert len({id(r) for r in runs}) == len({r.states for r in runs}), \
+            name
 
 
 def test_seeded_run_is_an_enumerated_run():

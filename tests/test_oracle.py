@@ -1,6 +1,7 @@
 import pytest
 
 from byzlab.atoms import AtomTimeError, Correct, Faulty, Occurred, eval_atom
+from byzlab.engine import enumerate_runs
 from byzlab.formulas import (
     Always, And, Atom, Believe, Hope, Implies, Know, Not, Or, parse_formula,
 )
@@ -73,7 +74,6 @@ def test_always_is_suffix_closed(suite):
 
 
 def test_non_quiescence_warning():
-    from byzlab.engine import enumerate_runs
     from byzlab.scenario import load_scenario
     from tests.conftest import scenario_path
     sc = load_scenario(scenario_path("s01_quiet"))
@@ -172,6 +172,25 @@ class Reference:
             self.memo[key] = all(self.eval(q, phi)
                                  for q in self.agent_classes(agent)[h])
         return self.memo[key]
+
+
+def test_classes_match_a_per_point_reference(contexts):
+    # keys in the order of their first points, each class's points in
+    # point order, and the first point of each of its states
+    for name, ctx in contexts.items():
+        system = InterpretedSystem(enumerate_runs(ctx))
+        for i in range(1, ctx.n + 1):
+            classes, firsts, seen = {}, {}, set()
+            for p in system.points():
+                state = system.runs[p[0]].states[p[1]]
+                h = state.local(i)
+                classes.setdefault(h, []).append(p)
+                if id(state) not in seen:
+                    seen.add(id(state))
+                    firsts.setdefault(h, []).append(p)
+            got = system.agent_classes(i)
+            assert list(got.items()) == list(classes.items()), (name, i)
+            assert system._class_index[i][2] == list(firsts.values())
 
 
 def _hap_text(o):

@@ -1,6 +1,4 @@
-import importlib.util
 import itertools
-import os
 from dataclasses import replace
 
 import pytest
@@ -17,7 +15,7 @@ from byzlab.protocols import (
     fault_alphabet, guard_holds, relay_rules,
 )
 from byzlab.scenario import load_scenario, scenario_from_json
-from tests.conftest import scenario_path
+from tests.conftest import perfbench_gen, scenario_path
 
 
 def proto(i, *rules):
@@ -103,16 +101,6 @@ def test_close_menu_realizes_closure_properties():
                         assert cand in menu_set
 
 
-def _closed_gen():
-    """perfbench/gen.py, loaded from its file without touching sys.path."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
-                        "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.closed(1)
-
-
 ALL_HOLD = {"fallible": True, "correctable": True, "delayable": True,
             "gullible": True}
 
@@ -122,7 +110,7 @@ def test_closure_audit_holds_on_closed_menus():
     ctxs = [load_scenario(scenario_path(name)).ctx
             for name in ("s07_sleep", "s15_stripped_send")]
     ctxs += [scenario_from_json(doc, f"closed{k}").ctx
-             for k, doc in enumerate(_closed_gen())]
+             for k, doc in enumerate(perfbench_gen().closed(1))]
     assert len(ctxs) == 10
     for ctx in ctxs:
         report = check_closure_properties(replace(ctx, horizon=1))

@@ -230,6 +230,33 @@ def test_bad_json_file(tmp_path):
         load_scenario(str(p))
 
 
+def _deep_guard_text(depth):
+    """s05_relay with agent 2's first guard under `depth` nested nots,
+    written as text: past Python's recursion limit `json.loads` fails."""
+    with open(scenario_path("s05_relay")) as fh:
+        doc = json.load(fh)
+    guard = doc["agent_protocols"]["2"][0]["guard"]
+    doc["agent_protocols"]["2"][0]["guard"] = "GUARD"
+    return json.dumps(doc).replace(
+        '"GUARD"', '["not", ' * depth + json.dumps(guard) + "]" * depth)
+
+
+def test_unreadable_scenario_exits_2_with_its_path(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'\xff\xfe{"agents": 3}')
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deep_guard_text(1500))
+    for path, where in ((latin, f"{latin}:1"), (deep, str(deep))):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert err.value.where == where
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {where}: " in capsys.readouterr().err
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(_deep_guard_text(3))
+    assert main(["validate", str(shallow)]) == 0
+
+
 def test_missing_agent_table_defaults_to_idle():
     sc = scenario_from_json(minimal_doc(), "test")
     from byzlab.haps import LocalHistory
@@ -280,6 +307,22 @@ def test_cli_detect(tmp_path, capsys):
     assert set(report["agents"]) == {"1", "2", "3"}
     for entry in report["agents"].values():
         assert "faulty" in entry and len(entry["occurrence"]) == 1
+
+
+@pytest.mark.parametrize("agent", ["0", "9", "2"])
+def test_cli_detect_checks_the_agent(tmp_path, capsys, agent):
+    out = tmp_path / "run.trace"
+    main(["simulate", scenario_path("s01_quiet"), "--seed", "0",
+          "--out", str(out)])
+    capsys.readouterr()
+    code = main(["detect", scenario_path("s01_quiet"), "--trace", str(out),
+                 "--agent", agent])
+    if agent == "2":
+        assert code == 0
+        assert set(json.loads(capsys.readouterr().out)["agents"]) == {"2"}
+    else:
+        assert code == 2
+        assert "error: --agent: " in capsys.readouterr().err
 
 
 def test_cli_check_formula(capsys):
@@ -337,6 +380,23 @@ def test_trace_rejects_corruption(tmp_path):
 
 HEADER = {"kind": "header", "version": 1, "scenario": "s", "seed": 0,
           "agents": 3, "initials": ["s", "s", "s"]}
+
+
+def test_unreadable_trace_exits_2_with_its_line(tmp_path, capsys):
+    head = (json.dumps(HEADER) + "\n").encode()
+    latin = tmp_path / "latin.trace"
+    latin.write_bytes(head + b'{"kind":"round","t":0,"haps":'
+                      b'[["gext",1,"caf\xe9"]]}\n')
+    deep = tmp_path / "deep.trace"
+    deep.write_bytes(head + b'{"kind":"round","t":0,"haps":'
+                     + b"[" * 1500 + b"]" * 1500 + b"}\n")
+    for path in (latin, deep):
+        with pytest.raises(TraceError) as err:
+            read_trace(str(path))
+        assert err.value.where == f"{path}:2"
+        assert main(["detect", scenario_path("s01_quiet"),
+                     "--trace", str(path)]) == 2
+        assert f"error: {path}:2: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, lineno", [

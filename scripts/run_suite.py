@@ -133,10 +133,9 @@ def main():
                   f"{r['points']:>8}{r['states']:>8}{r['verdicts']:>10}"
                   f"{r['refuted']:>9}"
                   f"{r['seconds']:>8.3f}")
-    total_refuted = sum(r["refuted"] for r in rows)
-    total = sum(r["verdicts"] for r in rows)
-    print(f"\n{total} verdicts, {total_refuted} refuted")
-    return 1 if total_refuted else 0
+        print(f"\n{sum(r['verdicts'] for r in rows)} verdicts, "
+              f"{sum(r['refuted'] for r in rows)} refuted")
+    return 1 if any(r["refuted"] for r in rows) else 0
 
 
 if __name__ == "__main__":

@@ -37,10 +37,15 @@ EXIT_CAP = 3
 EXIT_UNSOUND = 4
 
 
+def _int_arg(raw: str, where: str, lo: int, hi=None) -> int:
+    """The integer the text `raw` spells, in lo..hi; InputError otherwise."""
+    return typed(int(raw) if raw.strip().isdecimal() else raw,
+                 where, int, lo, hi)
+
+
 def _load(path: str) -> Scenario:
     raw = os.environ.get("BYZLAB_NODE_CAP")
-    cap = None if raw is None else typed(
-        int(raw) if raw.strip().isdecimal() else raw, "BYZLAB_NODE_CAP", int, 1)
+    cap = None if raw is None else _int_arg(raw, "BYZLAB_NODE_CAP", 1)
     return load_scenario(path, node_cap=cap)
 
 
@@ -73,14 +78,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_query(raw: str):
+def _parse_query(raw: str, n: int, f: int):
+    """EVENT and a group size K in 1..n-f, so that K + f <= n."""
     event, _, k = raw.rpartition(",")
     if not event:
         raise InputError("--query", f"expected EVENT,K, got {raw!r}")
-    try:
-        return event, int(k)
-    except ValueError:
-        raise InputError("--query", f"group size must be an integer in {raw!r}")
+    return event, _int_arg(k, "--query", 1, n - f)
 
 
 def cmd_detect(args) -> int:
@@ -90,7 +93,7 @@ def cmd_detect(args) -> int:
     if header["agents"] != n:
         raise InputError(args.trace, f"{header['agents']} agents, "
                          f"scenario has {n}")
-    queries = [_parse_query(q) for q in args.query]
+    queries = [_parse_query(q, n, sc.ctx.f) for q in args.query]
     agents = list(range(1, n + 1)) if args.agent is None else \
         [typed(args.agent, "--agent", int, 1, n)]
     report = {"scenario": sc.name, "trace": args.trace, "agents": {}}

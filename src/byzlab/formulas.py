@@ -7,9 +7,13 @@ Textual syntax (used in scenario files and the CLI):
     occ(i,HAP)  happened(i,HAP)  fhappened(i,HAP)  init(i,ID)
     K[i](F)  B[i](F)  H[i](F)  G(F)  !F  (F & F)  (F | F)  (F -> F)
     kgroup(k,HAP)          the k-group occurrence-belief disjunction
-    bare identifiers       custom propositions
+    bare identifiers       custom propositions (any but the names above)
 
     HAP := recv(j,MSG) | send(j,MSG) | send(j,MSG,copy) | ext(ID)
+
+Given the agent count n, every agent id (i, j) and kgroup's k must lie in
+1..n; kgroup needs n.  The forms of atoms and haps come from one table,
+`_SIGNATURES`, which both the parser and `unparse` read.
 """
 
 from __future__ import annotations
@@ -151,7 +155,38 @@ def is_syntactically_persistent(phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Syntax of atoms and haps: each name's signatures, a builder and the fields
+# its arguments fill in text order.  The parser picks the signature with as
+# many fields as the call has arguments; the printer takes the first one
+# that rebuilds the value.
+
+_SIGNATURES = {
+    "correct": ((Correct, ("agent",)), (Correct, ("agent", "at"))),
+    "faulty": ((Faulty, ("agent",)), (Faulty, ("agent", "at"))),
+    "fake": ((Fake, ("agent", "at", "hap")),),
+    "occ_c": ((OccurredCorrectly, ("hap",)),
+              (OccurredCorrectly, ("agent", "hap")),
+              (OccurredCorrectly, ("agent", "at", "hap"))),
+    "occ": ((Occurred, ("agent", "hap")),),
+    "happened": ((Happened, ("agent", "action")),),
+    "fhappened": ((FakeHappened, ("agent", "action")),),
+    "init": ((Init, ("agent", "state")),),
+    "kgroup": ((group_occurrence_formula, ("k", "hap")),),
+    "recv": ((Recv, ("frm", "msg")),),
+    "send": ((Send, ("to", "msg")), (Send, ("to", "msg", "copy"))),
+    "ext": ((External, ("event",)),),
+}
+
+# What each field's argument must be; any other field takes a name.
+_KINDS = {"agent": "agent", "frm": "agent", "to": "agent", "k": "group",
+          "at": "int", "copy": "int", "hap": "hap", "action": "hap"}
+
+_HAPS = (Recv, Send, External)
+
+
+def _is_hap(name: Optional[str]) -> bool:
+    return name in _SIGNATURES and _SIGNATURES[name][0][0] in _HAPS
+
 
 _TOKEN = re.compile(r"\s*(->|[()\[\],&|!]|G\b|[A-Za-z_][A-Za-z0-9_']*|\d+)")
 
@@ -175,8 +210,9 @@ class _Parser:
             pos = m.end()
         self.i = 0
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        i = self.i + ahead
+        return self.tokens[i] if i < len(self.tokens) else None
 
     def take(self, expected: Optional[str] = None) -> str:
         tok = self.peek()
@@ -224,7 +260,7 @@ class _Parser:
         if tok in ("K", "B", "H"):
             self.take()
             self.take("[")
-            agent = self._agent()
+            agent = self.check("agent", self.take())
             self.take("]")
             self.take("(")
             sub = self.implication()
@@ -243,117 +279,60 @@ class _Parser:
             return sub
         return self.atom()
 
-    def _int(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise FormulaSyntaxError(f"expected integer, found {tok!r}")
-        return int(tok)
-
-    def _agent(self) -> AgentId:
-        i = self._int()
-        if self.n is not None and not 1 <= i <= self.n:
-            raise FormulaSyntaxError(
-                f"agent {i} out of range 1..{self.n} in {self.text!r}")
-        return i
-
-    def hap(self) -> LocalHap:
-        kind = self.take()
-        self.take("(")
-        if kind == "recv":
-            j = self._agent()
-            self.take(",")
-            msg = self.take()
-            self.take(")")
-            return Recv(j, msg)
-        if kind == "send":
-            j = self._agent()
-            self.take(",")
-            msg = self.take()
-            copy = 0
-            if self.peek() == ",":
-                self.take()
-                copy = self._int()
-            self.take(")")
-            return Send(j, msg, copy)
-        if kind == "ext":
-            ev = self.take()
-            self.take(")")
-            return External(ev)
-        raise FormulaSyntaxError(f"unknown hap kind {kind!r} in {self.text!r}")
-
     def atom(self) -> Formula:
+        tok = self.peek()
+        if tok in _SIGNATURES and not _is_hap(tok):
+            phi = self.call()
+            return phi if tok == "kgroup" else Atom(phi)
         tok = self.take()
-        if tok in ("correct", "faulty"):
-            self.take("(")
-            i = self._agent()
-            at = None
-            if self.peek() == ",":
-                self.take()
-                at = self._int()
-            self.take(")")
-            cls = Correct if tok == "correct" else Faulty
-            return Atom(cls(i, at))
-        if tok == "fake":
-            self.take("(")
-            i = self._agent()
-            self.take(",")
-            at = self._int()
-            self.take(",")
-            hap = self.hap()
-            self.take(")")
-            return Atom(Fake(i, at, hap))
-        if tok == "occ_c":
-            self.take("(")
-            if (self.peek() or "").isdigit():
-                i = self._agent()
-                self.take(",")
-                if (self.peek() or "").isdigit():
-                    at = self._int()
-                    self.take(",")
-                    hap = self.hap()
-                    self.take(")")
-                    return Atom(OccurredCorrectly(hap, i, at))
-                hap = self.hap()
-                self.take(")")
-                return Atom(OccurredCorrectly(hap, i))
-            hap = self.hap()
-            self.take(")")
-            return Atom(OccurredCorrectly(hap))
-        if tok == "occ":
-            self.take("(")
-            i = self._agent()
-            self.take(",")
-            hap = self.hap()
-            self.take(")")
-            return Atom(Occurred(hap, i))
-        if tok in ("happened", "fhappened"):
-            self.take("(")
-            i = self._agent()
-            self.take(",")
-            hap = self.hap()
-            self.take(")")
-            cls = Happened if tok == "happened" else FakeHappened
-            return Atom(cls(hap, i))
-        if tok == "init":
-            self.take("(")
-            i = self._agent()
-            self.take(",")
-            lam = self.take()
-            self.take(")")
-            return Atom(Init(i, lam))
-        if tok == "kgroup":
-            if self.n is None:
-                raise FormulaSyntaxError(
-                    "kgroup needs the agent count; none supplied to the parser")
-            self.take("(")
-            k = self._int()
-            self.take(",")
-            hap = self.hap()
-            self.take(")")
-            return group_occurrence_formula(self.n, k, hap)
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
             return Atom(tok)
         raise FormulaSyntaxError(f"unexpected token {tok!r} in {self.text!r}")
+
+    def call(self):
+        """NAME "(" ARG {"," ARG} ")", where an ARG is a token or a hap."""
+        name = self.take()
+        self.take("(")
+        args = [self.arg()]
+        while self.peek() == ",":
+            self.take()
+            args.append(self.arg())
+        self.take(")")
+        for build, fields in _SIGNATURES[name]:
+            if len(fields) == len(args):
+                kw = {f: self.check(f, a) for f, a in zip(fields, args)}
+                return build(self.n, **kw) if name == "kgroup" else build(**kw)
+        raise FormulaSyntaxError(
+            f"{name} takes no {len(args)} arguments in {self.text!r}")
+
+    def arg(self):
+        return self.call() if _is_hap(self.peek()) and self.peek(1) == "(" \
+            else self.take()
+
+    def check(self, field: str, a):
+        """Argument `a` of `field`, checked and converted by its kind."""
+        kind = _KINDS.get(field, "name")
+        if not isinstance(a, str):
+            if kind == "hap":
+                return a
+            raise FormulaSyntaxError(
+                f"{field} cannot be a hap in {self.text!r}")
+        if kind == "hap":
+            raise FormulaSyntaxError(
+                f"expected a hap, found {a!r} in {self.text!r}")
+        if kind == "name":
+            return a
+        if not a.isdigit():
+            raise FormulaSyntaxError(f"expected integer, found {a!r}")
+        v = int(a)
+        if kind == "group" and self.n is None:
+            raise FormulaSyntaxError(
+                "kgroup needs the agent count; none supplied to the parser")
+        if kind != "int" and self.n is not None and not 1 <= v <= self.n:
+            what = "group size" if kind == "group" else "agent"
+            raise FormulaSyntaxError(
+                f"{what} {v} out of range 1..{self.n} in {self.text!r}")
+        return v
 
 
 def parse_formula(text: str, n: Optional[AgentId] = None) -> Formula:
@@ -363,7 +342,7 @@ def parse_formula(text: str, n: Optional[AgentId] = None) -> Formula:
 def unparse(phi: Formula) -> str:
     """Canonical text; parse(unparse(phi)) == phi for parser-produced ASTs."""
     if isinstance(phi, Atom):
-        return _unparse_atom(phi.prop)
+        return phi.prop if isinstance(phi.prop, str) else _unparse_call(phi.prop)
     if isinstance(phi, Not):
         return f"!{unparse(phi.sub)}"
     if isinstance(phi, And):
@@ -383,36 +362,14 @@ def unparse(phi: Formula) -> str:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _unparse_hap(hap: LocalHap) -> str:
-    if isinstance(hap, Recv):
-        return f"recv({hap.frm},{hap.msg})"
-    if isinstance(hap, Send):
-        return f"send({hap.to},{hap.msg},{hap.copy})" if hap.copy else \
-            f"send({hap.to},{hap.msg})"
-    return f"ext({hap.event})"
-
-
-def _unparse_atom(prop) -> str:
-    if isinstance(prop, str):
-        return prop
-    if isinstance(prop, (Correct, Faulty)):
-        name = "correct" if isinstance(prop, Correct) else "faulty"
-        return f"{name}({prop.agent},{prop.at})" if prop.at is not None else \
-            f"{name}({prop.agent})"
-    if isinstance(prop, Fake):
-        return f"fake({prop.agent},{prop.at},{_unparse_hap(prop.hap)})"
-    if isinstance(prop, OccurredCorrectly):
-        if prop.agent is None:
-            return f"occ_c({_unparse_hap(prop.hap)})"
-        if prop.at is None:
-            return f"occ_c({prop.agent},{_unparse_hap(prop.hap)})"
-        return f"occ_c({prop.agent},{prop.at},{_unparse_hap(prop.hap)})"
-    if isinstance(prop, Occurred):
-        return f"occ({prop.agent},{_unparse_hap(prop.hap)})"
-    if isinstance(prop, Happened):
-        return f"happened({prop.agent},{_unparse_hap(prop.action)})"
-    if isinstance(prop, FakeHappened):
-        return f"fhappened({prop.agent},{_unparse_hap(prop.action)})"
-    if isinstance(prop, Init):
-        return f"init({prop.agent},{prop.state})"
-    raise TypeError(f"not an atom payload: {prop!r}")
+def _unparse_call(v) -> str:
+    """NAME(ARG,...) by the first signature that rebuilds `v`."""
+    for name, sigs in _SIGNATURES.items():
+        for build, fields in sigs:
+            if type(v) is build and \
+                    build(**{f: getattr(v, f) for f in fields}) == v:
+                args = (getattr(v, f) for f in fields)
+                return f"{name}(" + ",".join(
+                    _unparse_call(a) if isinstance(a, _HAPS) else str(a)
+                    for a in args) + ")"
+    raise TypeError(f"not an atom payload: {v!r}")

@@ -64,11 +64,12 @@ def _record(at: str, line: str, kind: str) -> dict:
 
 def read_trace(path: str) -> Tuple[Run, dict]:
     """Load a trace and rebuild the full run it records."""
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in
+             enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
         raise TraceError(path, "empty trace")
-    at = f"{path}:1"
-    header = _record(at, lines[0], "header")
+    at = f"{path}:{lines[0][0]}"
+    header = _record(at, lines[0][1], "header")
     if field(header, "version", f"{at}: version", int) != TRACE_VERSION:
         raise TraceError(at, f"unsupported version {header['version']!r}")
     n = field(header, "agents", f"{at}: agents", int, lo=1)
@@ -77,12 +78,12 @@ def read_trace(path: str) -> Tuple[Run, dict]:
 
     state = initial_state(initials)
     states = [state]
-    for lineno, line in enumerate(lines[1:], start=2):
+    for t, (lineno, line) in enumerate(lines[1:]):
         at = f"{path}:{lineno}"
         rec = _record(at, line, "round")
-        if field(rec, "t", f"{at}: t", int) != lineno - 2:
+        if field(rec, "t", f"{at}: t", int) != t:
             raise TraceError(at, f"rounds out of order (t={rec['t']!r}, "
-                             f"expected {lineno - 2})")
+                             f"expected {t})")
         state = apply_round(state, decode_haps(
             rec.get("haps"), f"{at}: haps", ghap_from_json, n))
         states.append(state)

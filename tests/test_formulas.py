@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from byzlab.atoms import Correct, Faulty, Init, Occurred, OccurredCorrectly
+from byzlab.atoms import (
+    Correct, Fake, FakeHappened, Faulty, Happened, Init, Occurred,
+    OccurredCorrectly,
+)
 from byzlab.formulas import (
     Always, And, Atom, Believe, FormulaSyntaxError, Hope, Implies, Know, Not,
     Or, group_occurrence_formula, is_syntactically_persistent, nested_hope,
@@ -67,13 +70,13 @@ atoms = st.one_of(
 )
 
 
-def persistent_formulas(depth=3):
+def persistent_formulas(depth=3, leaves=atoms):
     if depth == 0:
-        return atoms
-    sub = persistent_formulas(depth - 1)
+        return leaves
+    sub = persistent_formulas(depth - 1, leaves)
     agent = st.integers(1, 3)
     return st.one_of(
-        atoms,
+        leaves,
         st.builds(Know, agent, sub),
         st.builds(Believe, agent, sub),
         st.builds(Hope, agent, sub),
@@ -102,7 +105,34 @@ def test_grammar_rejects_non_persistent_shapes():
     assert is_syntactically_persistent(Always(Not(Atom(Faulty(1)))))
 
 
-@given(persistent_formulas())
+# Every textual form: each signature of each atom and hap, and custom
+# propositions, including hap names, which are not atom names.
+agents, times = st.integers(1, 3), st.integers(0, 4)
+names = st.sampled_from(["m", "e", "s0", "7", "recv", "send", "ext"])
+haps = st.one_of(
+    st.builds(Recv, agents, names),
+    st.builds(Send, agents, names),
+    st.builds(Send, agents, names, st.integers(1, 3)),
+    st.builds(External, names),
+)
+every_atom = st.one_of(
+    st.builds(Correct, agents), st.builds(Correct, agents, times),
+    st.builds(Faulty, agents), st.builds(Faulty, agents, times),
+    st.builds(Fake, agents, times, haps),
+    st.builds(OccurredCorrectly, haps),
+    st.builds(OccurredCorrectly, haps, agents),
+    st.builds(OccurredCorrectly, haps, agents, times),
+    st.builds(Occurred, haps, agents),
+    st.builds(Happened, haps, agents),
+    st.builds(FakeHappened, haps, agents),
+    st.builds(Init, agents, names),
+    st.sampled_from(["p", "q'", "recv", "send", "ext"]),
+).map(Atom)
+
+
+@settings(max_examples=300)
+@given(st.one_of(persistent_formulas(leaves=every_atom),
+                 st.builds(Not, every_atom)))
 def test_unparse_parse_roundtrip(phi):
     assert parse_formula(unparse(phi), n=3) == phi
 

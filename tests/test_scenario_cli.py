@@ -325,6 +325,20 @@ def test_cli_detect_checks_the_agent(tmp_path, capsys, agent):
         assert "error: --agent: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("query", ["e,0", "e,4", "e,5", "e,x", "e,-1"])
+def test_cli_detect_checks_the_group_size(tmp_path, capsys, query):
+    # s01_quiet has n = 3 and f = 0, so K lies in 1..3
+    out = tmp_path / "run.trace"
+    main(["simulate", scenario_path("s01_quiet"), "--seed", "0",
+          "--out", str(out)])
+    capsys.readouterr()
+    assert main(["detect", scenario_path("s01_quiet"), "--trace", str(out),
+                 "--query", query]) == 2
+    assert "error: --query: " in capsys.readouterr().err
+    assert main(["detect", scenario_path("s01_quiet"), "--trace", str(out),
+                 "--query", "e,3"]) == 0
+
+
 def test_cli_check_formula(capsys):
     assert main(["check", scenario_path("s02_obvious"),
                  "--formula", "B[1](faulty(2))"]) == 0
@@ -348,6 +362,23 @@ def test_cli_check_rejects_agents_out_of_range(capsys, formula):
     assert main(["check", scenario_path("s05_relay"),
                  "--formula", formula]) == 2
     assert "out of range 1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_kgroup_size_out_of_range_exits_2(tmp_path, capsys, k):
+    formula = f"kgroup({k},ext(e))"
+    assert main(["check", scenario_path("s01_quiet"),
+                 "--formula", formula]) == 2
+    assert "error: --formula: group size" in capsys.readouterr().err
+    with open(scenario_path("s01_quiet")) as fh:
+        doc = json.load(fh)
+    doc["trust_table"] = [{"from": 1, "to": 2, "msg": "m",
+                           "formula": formula}]
+    p = tmp_path / "kgroup.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "error: trust_table[0].formula: group size" in \
+        capsys.readouterr().err
 
 
 def test_cli_check_against_detection(capsys):
@@ -397,6 +428,18 @@ def test_unreadable_trace_exits_2_with_its_line(tmp_path, capsys):
         assert main(["detect", scenario_path("s01_quiet"),
                      "--trace", str(path)]) == 2
         assert f"error: {path}:2: " in capsys.readouterr().err
+
+
+def test_trace_numbers_physical_lines(tmp_path, capsys):
+    run = seeded_run(load_scenario(scenario_path("s01_quiet")).ctx, 0)
+    lines = trace_lines(run, "s01_quiet", 0)
+    lines[2] = json.dumps({"kind": "round", "t": 1, "haps": [["go", 9]]})
+    p = tmp_path / "blank.trace"
+    p.write_text(lines[0] + "\n\n" + "\n".join(lines[1:]) + "\n")
+    with pytest.raises(TraceError, match=":4: haps: "):
+        read_trace(str(p))
+    assert main(["detect", scenario_path("s01_quiet"), "--trace", str(p)]) == 2
+    assert f"error: {p}:4: haps: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, lineno", [

@@ -118,6 +118,9 @@ def main():
     names = sorted(n[:-5] for n in os.listdir(SCENARIO_DIR)
                    if n.endswith(".json"))
     if args.scenario:
+        if args.scenario not in names:
+            ap.error(f"unknown scenario {args.scenario!r}; known: "
+                     + ", ".join(names))
         names = [args.scenario]
 
     rows = [sweep(name) for name in names]

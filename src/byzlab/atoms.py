@@ -71,7 +71,7 @@ DesignatedAtom = (Correct, Faulty, Fake, OccurredCorrectly, Occurred,
 
 
 class AtomTimeError(ValueError):
-    """An atom's time lies outside what its evaluation point admits."""
+    """An atom's time lies outside what the point it is read at admits."""
 
 
 def _fake_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
@@ -103,7 +103,7 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
     explicit time parameter is out of the admissible range.
     """
     if not 0 <= t_eval <= run.horizon:
-        raise AtomTimeError(f"evaluation time {t_eval} outside run horizon")
+        raise AtomTimeError(f"point time {t_eval} outside run horizon")
     state = run.states[t_eval]
     env = state.env
 
@@ -111,14 +111,14 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
         t = t_eval if atom.at is None else atom.at
         if not 0 <= t <= t_eval:
             raise AtomTimeError(
-                f"atom time {t} exceeds evaluation time {t_eval}")
+                f"atom time {t} exceeds the point's time {t_eval}")
         faulty = atom.agent in run.states[t].faulty
         return faulty if isinstance(atom, Faulty) else not faulty
 
     if isinstance(atom, Fake):
         if not 1 <= atom.at <= t_eval:
             raise AtomTimeError(
-                f"atom time {atom.at} exceeds evaluation time {t_eval}")
+                f"atom time {atom.at} exceeds the point's time {t_eval}")
         return _fake_reason(env, atom.agent, atom.at, atom.hap)
 
     if isinstance(atom, OccurredCorrectly):
@@ -127,7 +127,7 @@ def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
         if atom.at is not None:
             if not 1 <= atom.at <= t_eval:
                 raise AtomTimeError(
-                    f"atom time {atom.at} exceeds evaluation time {t_eval}")
+                    f"atom time {atom.at} exceeds the point's time {t_eval}")
             times = [atom.at]
         else:
             times = range(1, t_eval + 1)

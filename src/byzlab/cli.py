@@ -25,7 +25,7 @@ from .detect import (
 from .engine import CapExceeded, count_choice_tree, enumerate_runs, seeded_run
 from .formulas import parse_formula
 from .haps import External
-from .oracle import InterpretedSystem, UnknownProposition
+from .oracle import InterpretedSystem
 from .protocols import check_closure_properties
 from .scenario import Scenario, load_scenario
 from .serial import InputError, run_to_json, typed
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, UnknownProposition, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (CapExceeded, PackingCapExceeded) as e:

@@ -7,13 +7,16 @@ Textual syntax (used in scenario files and the CLI):
     occ(i,HAP)  happened(i,HAP)  fhappened(i,HAP)  init(i,ID)
     K[i](F)  B[i](F)  H[i](F)  G(F)  !F  (F & F)  (F | F)  (F -> F)
     kgroup(k,HAP)          the k-group occurrence-belief disjunction
-    bare identifiers       custom propositions (any but the names above)
 
     HAP := recv(j,MSG) | send(j,MSG) | send(j,MSG,copy) | ext(ID)
 
+Every atom is a designated one; any other bare name is a syntax error.
 Given the agent count n, every agent id (i, j) and kgroup's k must lie in
-1..n; kgroup needs n.  The forms of atoms and haps come from one table,
-`_SIGNATURES`, which both the parser and `unparse` read.
+1..n; kgroup needs n.  `!`, `(`, `K/B/H[i](` and `G(` nest at most
+`MAX_DEPTH` deep, so that neither the parser nor the recursive walks over
+the AST exceed Python's default recursion limit.  The forms of atoms and
+haps come from one table, `_SIGNATURES`, which both the parser and
+`unparse` read.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .haps import AgentId, External, LocalHap, Recv, Send
 
 @dataclass(frozen=True)
 class Atom:
-    """A designated atom or (as a plain string) a custom proposition."""
+    """A designated atom: a `Correct`, `Faulty`, ... value of `atoms`."""
 
     prop: object
 
@@ -92,17 +95,20 @@ Formula = Union[Atom, Not, And, Or, Implies, Know, Believe, Hope, Always]
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return _balanced(And, parts)
 
 
 def disj(parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return _balanced(Or, parts)
+
+
+def _balanced(op, parts: Sequence[Formula]) -> Formula:
+    """op over the halves, split at (len+1)//2, so the tree nests only
+    log2(len) deep; three parts still give op(op(a, b), c)."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return op(_balanced(op, parts[:mid]), _balanced(op, parts[mid:]))
 
 
 def nested_hope(sigma: Sequence[AgentId], phi: Formula) -> Formula:
@@ -191,6 +197,10 @@ def _is_hap(name: Optional[str]) -> bool:
 _TOKEN = re.compile(r"\s*(->|[()\[\],&|!]|G\b|[A-Za-z_][A-Za-z0-9_']*|\d+)")
 
 
+# Deepest nesting of `!`, `(`, `K/B/H[i](` and `G(` the parser accepts.
+MAX_DEPTH = 100
+
+
 class FormulaSyntaxError(ValueError):
     pass
 
@@ -209,6 +219,7 @@ class _Parser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Optional[str]:
         i = self.i + ahead
@@ -254,40 +265,42 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
+        if tok not in ("!", "K", "B", "H", "G", "("):
+            return self.atom()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_DEPTH} levels")
+        self.take()
         if tok == "!":
-            self.take()
-            return Not(self.unary())
-        if tok in ("K", "B", "H"):
-            self.take()
+            out = Not(self.unary())
+        elif tok == "(":
+            out = self.implication()
+            self.take(")")
+        elif tok == "G":
+            out = Always(self.parenthesized())
+        else:
             self.take("[")
             agent = self.check("agent", self.take())
             self.take("]")
-            self.take("(")
-            sub = self.implication()
-            self.take(")")
-            return {"K": Know, "B": Believe, "H": Hope}[tok](agent, sub)
-        if tok == "G":
-            self.take()
-            self.take("(")
-            sub = self.implication()
-            self.take(")")
-            return Always(sub)
-        if tok == "(":
-            self.take()
-            sub = self.implication()
-            self.take(")")
-            return sub
-        return self.atom()
+            out = {"K": Know, "B": Believe, "H": Hope}[tok](
+                agent, self.parenthesized())
+        self.depth -= 1
+        return out
+
+    def parenthesized(self) -> Formula:
+        self.take("(")
+        sub = self.implication()
+        self.take(")")
+        return sub
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok in _SIGNATURES and not _is_hap(tok):
             phi = self.call()
             return phi if tok == "kgroup" else Atom(phi)
-        tok = self.take()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok):
-            return Atom(tok)
-        raise FormulaSyntaxError(f"unexpected token {tok!r} in {self.text!r}")
+        raise FormulaSyntaxError(
+            f"unexpected token {self.take()!r} in {self.text!r}")
 
     def call(self):
         """NAME "(" ARG {"," ARG} ")", where an ARG is a token or a hap."""
@@ -342,7 +355,7 @@ def parse_formula(text: str, n: Optional[AgentId] = None) -> Formula:
 def unparse(phi: Formula) -> str:
     """Canonical text; parse(unparse(phi)) == phi for parser-produced ASTs."""
     if isinstance(phi, Atom):
-        return phi.prop if isinstance(phi.prop, str) else _unparse_call(phi.prop)
+        return _unparse_call(phi.prop)
     if isinstance(phi, Not):
         return f"!{unparse(phi.sub)}"
     if isinstance(phi, And):

@@ -12,9 +12,9 @@ structure across every formula the system sees.  Points that hold the
 same `GlobalState` object form one node (enumeration builds each
 distinct state once and shares it between runs), and a subformula whose
 value is a function of the state is evaluated once per node.  Only `G`
-and custom propositions outside any `K` depend on the point itself and
-are kept per point; knowledge is kept per history of its agent, and the
-classes of histories are built per node.
+outside any `K` depends on the point itself and is kept per point;
+knowledge is kept per history of its agent, and the classes of histories
+are built per node.
 """
 
 from __future__ import annotations
@@ -29,25 +29,22 @@ from .haps import AgentId, GlobalState, LocalHistory, Run, Timestamp
 
 Point = Tuple[int, Timestamp]  # (run index, time)
 
-# Kinds of compiled subformulas.  A table row is (kind, a, b, per_point):
-# a and b are subformula ids, except ATOM (a = designated atom), PROP
-# (a = proposition name) and KNOW (a = agent).
-ATOM, PROP, NOT, AND, OR, IMPLIES, KNOW, ALWAYS = range(8)
+# Kinds of compiled subformulas.  A table row is (kind, a, b, per_point,
+# always): a and b are subformula ids, except ATOM (a = designated atom)
+# and KNOW (a = agent); per_point marks a `G` outside any `K`, and always
+# a `G` anywhere.
+ATOM, NOT, AND, OR, IMPLIES, KNOW, ALWAYS = range(7)
 _BINARY = {And: AND, Or: OR, Implies: IMPLIES}
 
 
-class UnknownProposition(ValueError):
-    pass
-
-
 class InterpretedSystem:
-    """Enumerated runs plus a valuation for custom propositions."""
+    """Enumerated runs, over which formulas of designated atoms are
+    evaluated.  `quiescent` says the final round offers no activity, so
+    that `G` cannot change on a longer horizon."""
 
-    def __init__(self, runs: List[Run], valuation: Optional[dict] = None,
-                 quiescent: bool = True):
+    def __init__(self, runs: List[Run], quiescent: bool = True):
         self.runs = list(runs)
         self.horizon = runs[0].horizon if runs else 0
-        self.valuation = {p: frozenset(pts) for p, (pts) in (valuation or {}).items()}
         self.quiescent = quiescent
         self._table: List[tuple] = []         # subformula id -> row
         self._ids: Dict[tuple, int] = {}      # row -> subformula id
@@ -116,14 +113,17 @@ class InterpretedSystem:
         key = (kind, a, b)
         fid = self._ids.get(key)
         if fid is None:
-            if kind in (NOT, ALWAYS):
-                per_point = kind == ALWAYS or self._table[a][3]
-            elif kind in (AND, OR, IMPLIES):
-                per_point = self._table[a][3] or self._table[b][3]
+            if kind == ATOM:
+                per_point = always = False
+            elif kind == KNOW:  # kept per history, whatever b depends on
+                per_point, always = False, self._table[b][4]
             else:
-                per_point = kind == PROP
+                ra = self._table[a]
+                rb = ra if b is None else self._table[b]
+                per_point = kind == ALWAYS or ra[3] or rb[3]
+                always = kind == ALWAYS or ra[4] or rb[4]
             fid = self._ids[key] = len(self._table)
-            self._table.append((kind, a, b, per_point))
+            self._table.append((kind, a, b, per_point, always))
             self._memo.append({})
         return fid
 
@@ -134,8 +134,6 @@ class InterpretedSystem:
 
     def _compile(self, phi: Formula) -> int:
         if isinstance(phi, Atom):
-            if isinstance(phi.prop, str):
-                return self._row(PROP, phi.prop)
             return self._row(ATOM, phi.prop)
         if isinstance(phi, Not):
             return self._row(NOT, self._compile(phi.sub))
@@ -154,7 +152,7 @@ class InterpretedSystem:
             return self._row(ALWAYS, self._compile(phi.sub))
         raise TypeError(f"not a formula: {phi!r}")
 
-    # -- evaluation --------------------------------------------------------
+    # -- values ------------------------------------------------------------
 
     def _point(self, p: Point) -> Point:
         ridx, t = p
@@ -166,7 +164,7 @@ class InterpretedSystem:
         return self._value(self._compile(phi), *self._point(p))
 
     def _value(self, fid: int, ridx: int, t: Timestamp) -> bool:
-        kind, a, b, per_point = self._table[fid]
+        kind, a, b, per_point, _ = self._table[fid]
         node = self._node_at[ridx][t]
         if kind == KNOW:
             if a not in self._class_index:
@@ -184,10 +182,6 @@ class InterpretedSystem:
                 out = eval_atom(self.runs[ridx], t, a)
             except AtomTimeError as e:
                 raise AtomTimeError(f"{e} at run {ridx}, t={t}") from None
-        elif kind == PROP:
-            if a not in self.valuation:
-                raise UnknownProposition(f"no valuation for proposition {a!r}")
-            out = (ridx, t) in self.valuation[a]
         elif kind == NOT:
             out = not self._value(a, ridx, t)
         elif kind == AND:
@@ -210,10 +204,10 @@ class InterpretedSystem:
     def check(self, phi: Formula, p: Optional[Point] = None):
         """Evaluate at one point or all points; returns (verdicts, warning)."""
         warning = None
-        if not self.quiescent and _mentions_always(phi):
+        fid = self._compile(phi)
+        if not self.quiescent and self._table[fid][4]:
             warning = ("formula contains G and the final round is not "
                        "quiescent; its value may differ on a longer horizon")
-        fid = self._compile(phi)
         pts = [self._point(p)] if p is not None else list(self.points())
         return [(q, self._value(fid, *q)) for q in pts], warning
 
@@ -247,13 +241,3 @@ class InterpretedSystem:
                     if not self._value(fid, *pts[0]):
                         violations.append((j, i, msg, pts[0]))
         return violations
-
-
-def _mentions_always(phi: Formula) -> bool:
-    if isinstance(phi, Always):
-        return True
-    if isinstance(phi, (Not, Know, Believe, Hope)):
-        return _mentions_always(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return _mentions_always(phi.left) or _mentions_always(phi.right)
-    return False

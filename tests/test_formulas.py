@@ -6,9 +6,9 @@ from byzlab.atoms import (
     OccurredCorrectly,
 )
 from byzlab.formulas import (
-    Always, And, Atom, Believe, FormulaSyntaxError, Hope, Implies, Know, Not,
-    Or, group_occurrence_formula, is_syntactically_persistent, nested_hope,
-    parse_formula, unparse,
+    MAX_DEPTH, Always, And, Atom, Believe, FormulaSyntaxError, Hope, Implies,
+    Know, Not, Or, group_occurrence_formula, is_syntactically_persistent,
+    nested_hope, parse_formula, unparse,
 )
 from byzlab.haps import External, Recv, Send
 
@@ -23,20 +23,23 @@ def test_parse_basics():
         Know(1, Atom(Occurred(Recv(3, "m"), 2)))
     assert parse_formula("init(1,s0)") == Atom(Init(1, "s0"))
     assert parse_formula("G(faulty(1))") == Always(Atom(Faulty(1)))
-    assert parse_formula("!p & q") == And(Not(Atom("p")), Atom("q"))
-    assert parse_formula("p -> q -> r") == \
-        Implies(Atom("p"), Implies(Atom("q"), Atom("r")))
-    assert parse_formula("p | q & r") == Or(Atom("p"), And(Atom("q"), Atom("r")))
+    p, q, r = Atom(Faulty(1)), Atom(Faulty(2)), Atom(Faulty(3))
+    assert parse_formula("!faulty(1) & faulty(2)") == And(Not(p), q)
+    assert parse_formula("faulty(1) -> faulty(2) -> faulty(3)") == \
+        Implies(p, Implies(q, r))
+    assert parse_formula("faulty(1) | faulty(2) & faulty(3)") == \
+        Or(p, And(q, r))
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "faulty(", "K[1]", "B[x](p)", "p q", "kgroup(1,ext(e))"]:
+    for bad in ["", "faulty(", "K[1]", "B[x](faulty(1))",
+                "faulty(1) faulty(2)", "kgroup(1,ext(e))"]:
         with pytest.raises(FormulaSyntaxError):
             parse_formula(bad)   # kgroup without agent count included
 
 
 def test_parse_checks_agent_ids_against_n():
-    for bad in ["K[0](p)", "B[5](faulty(1))", "faulty(5)", "init(0,s)",
+    for bad in ["K[0](faulty(1))", "B[5](faulty(1))", "faulty(5)", "init(0,s)",
                 "occ(1,recv(7,m))", "happened(1,send(5,m))", "occ_c(9,ext(e))",
                 "occ_c("]:
         with pytest.raises(FormulaSyntaxError):
@@ -44,7 +47,18 @@ def test_parse_checks_agent_ids_against_n():
     assert parse_formula("K[4](occ(1,send(3,m,5)))", n=4) == \
         Know(4, Atom(Occurred(Send(3, "m", 5), 1)))
     assert parse_formula("faulty(1,9) & kgroup(1,ext(e))", n=2)
-    assert parse_formula("K[9](p)") == Know(9, Atom("p"))
+    assert parse_formula("K[9](faulty(1))") == Know(9, Atom(Faulty(1)))
+
+
+def test_nesting_is_bounded():
+    past = MAX_DEPTH + 1
+    for deep in ("!" * 1200 + "faulty(1)", "(" * 300 + "faulty(1)" + ")" * 300,
+                 "H[1](" * past + "faulty(2)" + ")" * past):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse_formula(deep, n=3)
+    text = "H[1](" * MAX_DEPTH + "faulty(2)" + ")" * MAX_DEPTH
+    phi = parse_formula(text, n=3)
+    assert unparse(phi) == text and is_syntactically_persistent(phi)
 
 
 def test_kgroup_expansion():
@@ -105,8 +119,8 @@ def test_grammar_rejects_non_persistent_shapes():
     assert is_syntactically_persistent(Always(Not(Atom(Faulty(1)))))
 
 
-# Every textual form: each signature of each atom and hap, and custom
-# propositions, including hap names, which are not atom names.
+# Every textual form: each signature of each atom and hap, with hap names
+# among the names a message, event or initial state may take.
 agents, times = st.integers(1, 3), st.integers(0, 4)
 names = st.sampled_from(["m", "e", "s0", "7", "recv", "send", "ext"])
 haps = st.one_of(
@@ -126,7 +140,6 @@ every_atom = st.one_of(
     st.builds(Happened, haps, agents),
     st.builds(FakeHappened, haps, agents),
     st.builds(Init, agents, names),
-    st.sampled_from(["p", "q'", "recv", "send", "ext"]),
 ).map(Atom)
 
 

@@ -1,14 +1,16 @@
 import pytest
 
 from byzlab.atoms import AtomTimeError, Correct, Faulty, Occurred, eval_atom
+from byzlab.cli import main
 from byzlab.engine import enumerate_runs
 from byzlab.formulas import (
-    Always, And, Atom, Believe, Hope, Implies, Know, Not, Or, parse_formula,
+    Always, And, Atom, Believe, FormulaSyntaxError, Hope, Implies, Know, Not,
+    Or, parse_formula,
 )
 from byzlab.haps import External, Recv, Send
-from byzlab.oracle import InterpretedSystem, UnknownProposition
+from byzlab.oracle import InterpretedSystem
 from byzlab.serial import local_key
-from tests.conftest import SCENARIO_NAMES
+from tests.conftest import SCENARIO_NAMES, scenario_path
 
 
 def system(suite, name):
@@ -84,10 +86,13 @@ def test_non_quiescence_warning():
     assert no_warning is None
 
 
-def test_custom_propositions_need_a_valuation(suite):
-    sysm = system(suite, "s01_quiet")
-    with pytest.raises(UnknownProposition):
-        sysm.check(parse_formula("mystery"))
+def test_bare_names_are_syntax_errors(capsys):
+    # every atom is a designated one; hap names are no atoms either
+    for text in ("p", "mystery", "q'", "recv", "K[1](p)"):
+        with pytest.raises(FormulaSyntaxError, match="unexpected token"):
+            parse_formula(text, n=3)
+    assert main(["check", scenario_path("s01_quiet"), "--formula", "p"]) == 2
+    assert "unexpected token 'p'" in capsys.readouterr().err
 
 
 def test_verify_persistent_finds_counterexamples(suite):
@@ -138,10 +143,6 @@ class Reference:
     def _eval(self, p, phi):
         ridx, t = p
         if isinstance(phi, Atom):
-            if isinstance(phi.prop, str):
-                if phi.prop not in self.system.valuation:
-                    raise UnknownProposition(phi.prop)
-                return p in self.system.valuation[phi.prop]
             return eval_atom(self.system.runs[ridx], t, phi.prop)
         if isinstance(phi, Not):
             return not self.eval(p, phi.sub)
@@ -201,10 +202,10 @@ def _hap_text(o):
     return f"ext({o.event})"
 
 
-# Every atom kind; nested K/B/H; G under and over K; kgroup; a custom
-# proposition, alone and under K and G.  J and HAP name an agent and a
-# hap it records in the system; S is agent 1's initial state.  The last
-# group has atom times some points cannot admit.
+# Every atom kind; nested K/B/H; G under and over K; kgroup; G alone and
+# mixed with state formulas, under K and outside it.  J and HAP name an
+# agent and a hap it records in the system; S is agent 1's initial state.
+# The last group has atom times some points cannot admit.
 REFERENCE_FORMULAS = [
     "correct(1)", "faulty(2)", "correct(3,0)", "occ_c(HAP)", "occ_c(J,HAP)",
     "occ(J,HAP)", "happened(J,HAP)", "fhappened(J,HAP)", "init(1,S)",
@@ -213,10 +214,17 @@ REFERENCE_FORMULAS = [
     "K[1](G(correct(1)))", "B[2](G(!faulty(3)))",
     "G(K[1](occ_c(HAP)))", "G((B[J](faulty(2)) -> faulty(2)))",
     "kgroup(1,HAP)", "kgroup(2,HAP)", "B[3](kgroup(1,HAP))",
-    "p", "K[1](p)", "G((p | faulty(1)))", "(p & B[1](faulty(2)))",
+    "G(!faulty(2))", "G(correct(1))", "K[1]((G(faulty(1)) | faulty(2)))",
+    "(G(correct(2)) & B[1](faulty(2)))",
     "faulty(2,1)", "fake(J,1,HAP)", "occ_c(J,1,HAP)", "K[1](fake(J,1,HAP))",
     "G(correct(1,2))", "(faulty(1) -> occ_c(J,2,HAP))",
 ]
+
+
+# Scenarios where some formula above takes two values at two points of
+# one state, so that the per-point memo of `G` is exercised.
+SPLIT_SCENARIOS = {"s02_obvious", "s03_self_notify", "s06_two_byz",
+                   "s07_sleep", "s09_fake_delivery", "s15_stripped_send"}
 
 
 def _outcome(evaluate, p, phi):
@@ -235,14 +243,11 @@ def test_oracle_matches_reference_evaluator(suite, name):
     (_, j), hap = min(recorded.items()) if recorded else \
         ((None, 1), External("e"))
     initial = runs[0].local(1, 0).initial
-    # p is true on even runs, so points that share a state can disagree
-    valuation = {"p": [(r, t) for r in range(0, len(runs), 2)
-                       for t in range(runs[0].horizon + 1)]}
-    system = InterpretedSystem(runs, valuation=valuation)
-    ref = Reference(InterpretedSystem(runs, valuation=valuation))
+    system = InterpretedSystem(runs)
+    ref = Reference(InterpretedSystem(runs))
     for i in range(1, n + 1):
         assert system.agent_classes(i) == ref.agent_classes(i)
-    raised = set()
+    raised, split = set(), False
     for text in REFERENCE_FORMULAS:
         phi = parse_formula(text.replace("J", str(j)).replace("S", initial)
                             .replace("HAP", _hap_text(hap)), n=n)
@@ -252,8 +257,12 @@ def test_oracle_matches_reference_evaluator(suite, name):
         assert all(v is AtomTimeError for _, v in got
                    if not isinstance(v, bool)), text
         if all(isinstance(v, bool) for _, v in want):
-            assert InterpretedSystem(runs, valuation=valuation).check(phi)[0] \
-                == want, text
+            assert InterpretedSystem(runs).check(phi)[0] == want, text
         else:
             raised.add(text)
+        values = {}
+        for (r, t), v in want:
+            values.setdefault(id(runs[r].states[t]), set()).add(v)
+        split = split or any(len(vs) > 1 for vs in values.values())
     assert raised >= {"faulty(2,1)", "fake(J,1,HAP)", "K[1](fake(J,1,HAP))"}
+    assert split == (name in SPLIT_SCENARIOS)

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from byzlab.cli import main
 from byzlab.engine import seeded_run
+from byzlab.formulas import MAX_DEPTH
 from byzlab.scenario import ScenarioError, load_scenario, scenario_from_json
 from byzlab.trace import TraceError, read_trace, trace_lines
 from tests.conftest import SCENARIO_NAMES, scenario_path
@@ -379,6 +380,46 @@ def test_kgroup_size_out_of_range_exits_2(tmp_path, capsys, k):
     assert main(["validate", str(p)]) == 2
     assert "error: trust_table[0].formula: group size" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", ["!" * 1200 + "faulty(1)",
+                                     "(" * 300 + "faulty(1)" + ")" * 300])
+def test_cli_check_rejects_deep_nesting(capsys, formula):
+    assert main(["check", scenario_path("s01_quiet"),
+                 "--formula", formula]) == 2
+    assert "error: --formula: formula nests deeper" in capsys.readouterr().err
+
+
+def test_cli_check_evaluates_a_formula_at_the_nesting_bound(capsys):
+    # H[i] compiles to three rows per level, the deepest expansion
+    formula = "H[1](" * MAX_DEPTH + "faulty(2)" + ")" * MAX_DEPTH
+    assert main(["check", scenario_path("s01_quiet"),
+                 "--formula", formula]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] > 0
+
+
+def test_trust_formula_past_the_nesting_bound_exits_2(tmp_path, capsys):
+    with open(scenario_path("s01_quiet")) as fh:
+        doc = json.load(fh)
+    depth = MAX_DEPTH + 1
+    doc["trust_table"] = [{"from": 1, "to": 2, "msg": "m",
+                           "formula": "(" * depth + "faulty(2)" + ")" * depth}]
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    assert "error: trust_table[0].formula: formula nests deeper" in \
+        capsys.readouterr().err
+
+
+def test_cli_check_kgroup_over_many_agents(tmp_path, capsys):
+    # kgroup(7,...) over 14 agents is a disjunction of C(14,7) = 3,432
+    # conjunctions, which must not nest one level per disjunct
+    p = tmp_path / "idle14.json"
+    p.write_text(json.dumps(minimal_doc(
+        agents=14, initial_states=[["s"] * 14],
+        env_protocol={"menus": [{"sets": [[]]}]})))
+    assert main(["check", str(p), "--formula", "kgroup(7,ext(e))"]) == 0
+    assert json.loads(capsys.readouterr().out)["false_at"] == 2
 
 
 def test_cli_check_against_detection(capsys):

@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
 
 import gen
 from byzlab.detect import cross_check
-from byzlab.engine import enumerate_runs
+from byzlab.engine import enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import load_scenario, scenario_from_json
 
@@ -84,8 +84,7 @@ def stress(horizon):
              for t, s in enumerate(r.states[:-1])}.values()
     return {
         "horizon": horizon, "runs": len(runs), "states": system.nodes,
-        "expanded": len({(t, s.locals, s.sent, s.delivered, s.faulty)
-                         for t, s in nodes}),
+        "expanded": len({future_key(t, s) for t, s in nodes}),
         "histories": histories, "verdicts": len(verdicts),
         "refuted": sum(not ok for *_, ok in verdicts),
         "enumerate_s": round(enumerated - start, 3),

@@ -10,8 +10,8 @@ from .atoms import (
     Occurred, OccurredCorrectly, eval_atom,
 )
 from .chains import (
-    TrustTable, extract_chains, extract_chains_all, max_disjoint,
-    shorten_chain, threshold_belief,
+    TrustTable, chains_about, extract_chains, max_disjoint, shorten_chain,
+    threshold_witness,
 )
 from .detect import (
     BeliefReport, DetectionInput, belief_who_is_faulty, cross_check,

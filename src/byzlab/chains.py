@@ -1,21 +1,27 @@
-"""Hope chains: extraction from a local history, set difference over
-agent sets, and exact maximum disjoint packing.
+"""Hope chains: extraction from a local history, exact maximum disjoint
+packing and the packing threshold.
 
 A chain (j, i1, ..., ik) extracted by agent i certifies the belief
-B_i H_j H_{i1} ... H_{ik} phi.  Packing more than f - |F| pairwise
-disjoint chains (after removing chains touching the believed-faulty set
-F) lifts the nested hope to plain belief in phi.
+B_i H_j H_{i1} ... H_{ik} phi.  `extract_chains` reads a history's
+receipts once and returns every chain, indexed by base formula;
+`threshold_witness` holds the one packing rule: more than f - |F|
+pairwise disjoint repetition-free chains avoiding the believed-faulty
+set F (k + f - |F| for k-group occurrence) lift the nested hope to
+plain belief in phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from .formulas import Formula, is_syntactically_persistent, nested_hope
+from .formulas import Formula, is_syntactically_persistent
 from .haps import AgentId, LocalHistory, Recv
 
 Chain = Tuple[AgentId, ...]
+
+# (base formula, its chains) per base, in the order of `TrustTable.bases`
+Extraction = Tuple[Tuple[Formula, FrozenSet[Chain]], ...]
 
 MAX_PACKING_INPUT = 64
 
@@ -30,42 +36,52 @@ class TrustTable:
 
     An entry declares the message trustworthy for the nested hope built
     from the carried chain over the base formula; the sender's protocol
-    must emit it only while holding the corresponding belief.
+    must emit it only while holding the corresponding belief.  `bases`
+    lists the distinct base formulas and `receipts` maps each key to
+    its base's position there and the chain (sender,) + carried, so
+    that extraction never hashes a formula.
     """
 
     entries: dict
+    bases: tuple = field(init=False, repr=False, compare=False)
+    receipts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        position: Dict[Formula, int] = {}
+        receipts = {}
         for key, (phi, chain) in self.entries.items():
             if not is_syntactically_persistent(phi):
                 raise ValueError(
                     f"trust entry {key} carries a non-persistent base formula")
+            receipts[key] = (position.setdefault(phi, len(position)),
+                             (key[0],) + tuple(chain))
+        object.__setattr__(self, "bases", tuple(position))
+        object.__setattr__(self, "receipts", receipts)
 
 
-def certified_formula(entry) -> Formula:
-    phi, chain = entry
-    return nested_hope(chain, phi)
-
-
-def extract_chains_all(h_i: LocalHistory, i: AgentId, phi: Formula,
-                       trust: TrustTable) -> FrozenSet[Chain]:
-    """Every chain (j,) + carried for a trusted receipt about phi."""
-    out = set()
+def extract_chains(h_i: LocalHistory, i: AgentId,
+                   trust: TrustTable) -> Extraction:
+    """One pass over h_i's receipts: for each base formula of `trust`,
+    the chain (j,) + carried of every trusted receipt about it, loops
+    included."""
+    found = [set() for _ in trust.bases]
     for rnd in h_i.rounds:
         for o in rnd:
-            if not isinstance(o, Recv):
-                continue
-            entry = trust.entries.get((o.frm, i, o.msg))
-            if entry is not None and entry[0] == phi:
-                out.add((o.frm,) + tuple(entry[1]))
-    return frozenset(out)
+            if isinstance(o, Recv):
+                hit = trust.receipts.get((o.frm, i, o.msg))
+                if hit is not None:
+                    found[hit[0]].add(hit[1])
+    return tuple(zip(trust.bases, map(frozenset, found)))
 
 
-def extract_chains(h_i: LocalHistory, i: AgentId, phi: Formula,
-                   trust: TrustTable) -> FrozenSet[Chain]:
-    """The refined chain set: only repetition-free chains."""
-    return frozenset(s for s in extract_chains_all(h_i, i, phi, trust)
-                     if len(set(s)) == len(s))
+def chains_about(extracted: Extraction, phi: Formula) -> FrozenSet[Chain]:
+    """The extracted chains about base formula `phi`.  Bases are compared,
+    not hashed: a formula rehashes its whole tree on every hash; and only
+    bases with chains are compared at all."""
+    for base, chains in extracted:
+        if chains and base == phi:
+            return chains
+    return frozenset()
 
 
 def shorten_chain(chain: Chain) -> Chain:
@@ -83,11 +99,6 @@ def shorten_chain(chain: Chain) -> Chain:
                 break
             seen[a] = pos
     return tuple(out)
-
-
-def chains_minus(chains: FrozenSet[Chain], S: Set[AgentId]) -> FrozenSet[Chain]:
-    """Overloaded set difference: drop chains touching any member of S."""
-    return frozenset(s for s in chains if not set(s) & set(S))
 
 
 def max_disjoint(chains: FrozenSet[Chain]) -> Tuple[int, FrozenSet[Chain]]:
@@ -122,18 +133,14 @@ def max_disjoint(chains: FrozenSet[Chain]) -> Tuple[int, FrozenSet[Chain]]:
     return len(best), frozenset(best)
 
 
-def pairwise_disjoint(chains: Iterable[Chain]) -> bool:
-    seen: Set[AgentId] = set()
-    for s in chains:
-        if set(s) & seen:
-            return False
-        seen |= set(s)
-    return True
-
-
-def threshold_belief(chains: FrozenSet[Chain], F: Set[AgentId], f: int) -> bool:
-    """More than f - |F| disjoint chains survive removing F."""
-    if len(F) > f:
-        raise ValueError(f"|F|={len(F)} exceeds the fault bound f={f}")
-    card, _ = max_disjoint(chains_minus(chains, F))
-    return card > f - len(F)
+def threshold_witness(chains: FrozenSet[Chain], F: Set[AgentId], f: int,
+                      k: int = 1, avoid: Iterable[AgentId] = ()
+                      ) -> Optional[FrozenSet[Chain]]:
+    """The packing rule.  Keeps the repetition-free chains touching
+    neither F nor `avoid` and packs them: the witness when at least
+    k + f - |F| of them are pairwise disjoint (more than f - |F| at the
+    default k = 1), else None.  An F larger than f needs no chain."""
+    out = F.union(avoid)
+    card, witness = max_disjoint(frozenset(
+        s for s in chains if len(set(s)) == len(s) and out.isdisjoint(s)))
+    return witness if card >= k + f - len(F) else None

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-    byzlab simulate SCENARIO [--seed N | --enumerate] [--out FILE]
+    byzlab simulate SCENARIO [--seed N] [--out FILE]
+    byzlab simulate SCENARIO --enumerate
     byzlab detect   SCENARIO --trace FILE [--agent I] [--query EVENT,K]...
     byzlab check    SCENARIO [--formula STR] [--against-detection]
     byzlab validate SCENARIO
@@ -28,7 +29,7 @@ from .haps import External
 from .oracle import InterpretedSystem
 from .protocols import check_closure_properties
 from .scenario import Scenario, load_scenario
-from .serial import InputError, run_to_json, typed
+from .serial import InputError, typed
 from .trace import read_trace, trace_lines, write_trace
 
 EXIT_OK = 0
@@ -57,12 +58,10 @@ def _build_system(sc: Scenario) -> InterpretedSystem:
 def cmd_simulate(args) -> int:
     sc = _load(args.scenario)
     if args.enumerate:
-        runs = enumerate_runs(sc.ctx)
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump([run_to_json(r) for r in runs], fh,
-                          sort_keys=True, separators=(",", ":"))
-                fh.write("\n")
+            raise InputError("--out", "writes one seeded run's trace; "
+                             "--enumerate writes no run file")
+        runs = enumerate_runs(sc.ctx)
         print(json.dumps({"scenario": sc.name, "mode": "enumerate",
                           "runs": len(runs)}))
         return EXIT_OK

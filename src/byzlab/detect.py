@@ -1,8 +1,10 @@
 """Local fault detectors and the gain-belief fixpoint.
 
 Everything here works on a single local history: the agent never sees
-the run, only what it recorded.  Soundness of each detector against the
-Kripke oracle is exercised by the acceptance suite.
+the run, only what it recorded.  Each detector call extracts the
+history's chains once, indexed by base formula, and every packing test
+goes through `chains.threshold_witness`.  Soundness of each detector
+against the Kripke oracle is exercised by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set
 
 from .atoms import Faulty, OccurredCorrectly
-from .chains import (
-    TrustTable, chains_minus, extract_chains, max_disjoint,
+# `max_disjoint` is looked up here by perfbench/tracing.py, which counts
+# packings under this name as well as under `chains.max_disjoint`.
+from .chains import (  # noqa: F401
+    Extraction, TrustTable, chains_about, extract_chains, max_disjoint,
+    threshold_witness,
 )
 from .formulas import Atom, Believe, group_occurrence_formula
 from .haps import AgentId, LocalHistory, Recv, Send
@@ -58,14 +63,10 @@ def dir_obs_faulty(h_i: LocalHistory, i: AgentId, protocols) -> Set[AgentId]:
     return out
 
 
-def dir_notif_faulty(h_i: LocalHistory, i: AgentId,
-                     trust: TrustTable) -> Set[AgentId]:
+def dir_notif_faulty(extracted: Extraction) -> Set[AgentId]:
     """Agents whose own-faultiness notification arrived as a singleton chain."""
-    out = set()
-    for j in {key[0] for key in trust.entries}:
-        if (j,) in extract_chains(h_i, i, Atom(Faulty(j)), trust):
-            out.add(j)
-    return out
+    return {s[0] for base, chains in extracted for s in chains
+            if len(s) == 1 and base == Atom(Faulty(s[0]))}
 
 
 def self_check_faulty(h_i: LocalHistory, i: AgentId, protocol) -> bool:
@@ -91,38 +92,30 @@ def belief_who_is_faulty(inp: DetectionInput,
     detection, then repeatedly adds any agent backed by more than
     f - |F| disjoint hope chains avoiding the current F, until stable.
     """
-    i, f, trust = inp.agent, inp.f, inp.trust
+    i, f = inp.agent, inp.f
     agents = order if order is not None else range(1, inp.n + 1)
-    provenance: Dict[AgentId, tuple] = {}
-    F: Set[AgentId] = set()
-    for j in dir_obs_faulty(inp.h_i, i, inp.protocols):
-        F.add(j)
-        provenance[j] = ("direct-observation",)
-    for j in dir_notif_faulty(inp.h_i, i, trust):
-        if j not in F:
-            F.add(j)
-            provenance[j] = ("direct-notification",)
-    if self_check_faulty(inp.h_i, i, inp.protocols[i - 1]):
-        if i not in F:
-            F.add(i)
-            provenance[i] = ("self-detection",)
+    extracted = extract_chains(inp.h_i, i, inp.trust)
+    provenance: Dict[AgentId, tuple] = {}  # the first way found is kept
+    for found, how in (
+            (dir_obs_faulty(inp.h_i, i, inp.protocols), "direct-observation"),
+            (dir_notif_faulty(extracted), "direct-notification"),
+            ({i} if self_check_faulty(inp.h_i, i, inp.protocols[i - 1])
+             else (), "self-detection")):
+        for j in found:
+            provenance.setdefault(j, (how,))
+    F = set(provenance)
 
-    iterations = 0
-    while True:
+    about = {ell: chains_about(extracted, Atom(Faulty(ell))) for ell in agents}
+    iterations, grown = 0, True
+    while grown:
         iterations += 1
-        stable = True
+        grown = False
         for ell in agents:
-            if ell in F:
-                continue
-            chains = chains_minus(
-                extract_chains(inp.h_i, i, Atom(Faulty(ell)), trust), F)
-            card, witness = max_disjoint(chains)
-            if card > f - len(F):
+            witness = None if ell in F else threshold_witness(about[ell], F, f)
+            if witness is not None:
                 F.add(ell)
                 provenance[ell] = ("chain-threshold", witness)
-                stable = False
-        if stable:
-            break
+                grown = True
     return BeliefReport(F, provenance, iterations)
 
 
@@ -166,16 +159,12 @@ def group_occurrence_belief(h_i: LocalHistory, i: AgentId, o, k: int, f: int,
     if len(F) > f:
         raise ValueError(f"|F|={len(F)} exceeds f={f}")
 
-    occ = chains_minus(
-        extract_chains(h_i, i, Atom(OccurredCorrectly(o)), trust), F)
-    card, _ = max_disjoint(occ)
-    if card >= k + f - len(F):
+    extracted = extract_chains(h_i, i, trust)
+    occ = chains_about(extracted, Atom(OccurredCorrectly(o)))
+    if threshold_witness(occ, F, f, k) is not None:
         return True
-    if include_self and local_knowledge(h_i, i, o):
-        card_self, _ = max_disjoint(chains_minus(occ, {i}))
-        if card_self >= (k - 1) + f - len(F):
-            return True
-    group = chains_minus(
-        extract_chains(h_i, i, group_occurrence_formula(n, k, o), trust), F)
-    card_g, _ = max_disjoint(group)
-    return card_g > f - len(F)
+    if include_self and local_knowledge(h_i, i, o) and \
+            threshold_witness(occ, F, f, k - 1, avoid=(i,)) is not None:
+        return True
+    group = chains_about(extracted, group_occurrence_formula(n, k, o))
+    return threshold_witness(group, F, f) is not None

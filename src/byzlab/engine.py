@@ -23,7 +23,11 @@ from .protocols import AgentProtocol, EnvProtocol
 
 
 class CapExceeded(Exception):
-    """Raised when enumeration would explore more nodes than allowed."""
+    """Raised when a walk of the choice tree would take more edges than
+    the context's node cap allows."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"enumeration exceeded {cap} explored nodes")
 
 
 @dataclass(frozen=True)
@@ -145,15 +149,19 @@ def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
                         for i in range(1, ctx.n + 1)]
 
 
+def future_key(t: Timestamp, state: GlobalState) -> tuple:
+    """All that `step` reads of a state at time t: the protocols read
+    `locals`, the filters and delivery binding read the summaries, and
+    the update appends one round to `env` without reading it."""
+    return (t, state.locals, state.sent, state.delivered, state.faulty)
+
+
 def enumerate_runs(ctx: AgentContext) -> List[Run]:
     """All transitional runs of length horizon+1, in deterministic order.
 
-    `step` reads a state only through its future key (t, locals, sent,
-    delivered, faulty): the protocols read `locals`, the filters and
-    delivery binding read the summaries, and the update appends one
-    round to `env` without reading it.  Tree nodes with one key thus
-    have equal subtrees up to their env prefix.  A table local to the
-    call maps each key to its children, one per (env choice, agent
+    `step` reads a state only through its `future_key`, so tree nodes
+    with one key have equal subtrees up to their env prefix.  A table
+    local to the call maps each key to its children, one per (env choice, agent
     combo) in menu order, each kept as (round record, locals, sent,
     delivered, faulty) from one `step` call when the key is first
     reached.  Children of one parent with equal round records are one
@@ -175,7 +183,7 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
         if t == ctx.horizon:
             runs.append(Run(tuple(prefix)))
             return
-        key = (t, state.locals, state.sent, state.delivered, state.faulty)
+        key = future_key(t, state)
         children = table.get(key)
         if children is None:
             env_opts, agent_opts = _choice_space(ctx, state, t)
@@ -190,8 +198,7 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
             twin = done.get(rnd)
             explored += 1 if twin is None else twin[2]
             if explored > cap:
-                raise CapExceeded(
-                    f"enumeration exceeded {cap} explored nodes")
+                raise CapExceeded(cap)
             if twin is not None:
                 runs.extend(runs[twin[0]:twin[1]])
                 continue
@@ -214,14 +221,21 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
 
 
 def count_choice_tree(ctx: AgentContext) -> int:
-    """Independent recursive count of adversary choice-tree leaves."""
+    """Independent recursive count of adversary choice-tree leaves.
+    `ctx.node_cap` caps the tree edges, as in `enumerate_runs`."""
+    edges = 0
+
     def count(state: GlobalState, t: Timestamp) -> int:
+        nonlocal edges
         if t == ctx.horizon:
             return 1
         env_opts, agent_opts = _choice_space(ctx, state, t)
         total = 0
         for env_choice in env_opts:
             for combo in itertools.product(*agent_opts):
+                edges += 1
+                if edges > ctx.node_cap:
+                    raise CapExceeded(ctx.node_cap)
                 total += count(step(ctx, state, t, env_choice, combo,
                                     validate=False), t + 1)
         return total

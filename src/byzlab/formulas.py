@@ -11,12 +11,13 @@ Textual syntax (used in scenario files and the CLI):
     HAP := recv(j,MSG) | send(j,MSG) | send(j,MSG,copy) | ext(ID)
 
 Every atom is a designated one; any other bare name is a syntax error.
-Given the agent count n, every agent id (i, j) and kgroup's k must lie in
-1..n; kgroup needs n.  `!`, `(`, `K/B/H[i](` and `G(` nest at most
-`MAX_DEPTH` deep, so that neither the parser nor the recursive walks over
-the AST exceed Python's default recursion limit.  The forms of atoms and
-haps come from one table, `_SIGNATURES`, which both the parser and
-`unparse` read.
+The t of `correct` and `faulty` is a time, from 0; that of `fake` and
+`occ_c` names a round, from 1.  Given the agent count n, every agent id
+(i, j) and kgroup's k must lie in 1..n; kgroup needs n.  `!`, `(`,
+`K/B/H[i](` and `G(` nest at most `MAX_DEPTH` deep, so that neither the
+parser nor the recursive walks over the AST exceed Python's default
+recursion limit.  The forms of atoms and haps come from one table,
+`_SIGNATURES`, which both the parser and `unparse` read.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ _KINDS = {"agent": "agent", "frm": "agent", "to": "agent", "k": "group",
 
 _HAPS = (Recv, Send, External)
 
+# Atoms whose `at` names a round, so that 0 names none.
+_ROUND_ATOMS = (Fake, OccurredCorrectly)
+
 
 def _is_hap(name: Optional[str]) -> bool:
     return name in _SIGNATURES and _SIGNATURES[name][0][0] in _HAPS
@@ -314,7 +318,14 @@ class _Parser:
         for build, fields in _SIGNATURES[name]:
             if len(fields) == len(args):
                 kw = {f: self.check(f, a) for f, a in zip(fields, args)}
-                return build(self.n, **kw) if name == "kgroup" else build(**kw)
+                if build in _ROUND_ATOMS and kw.get("at") == 0:
+                    raise FormulaSyntaxError(
+                        f"{name} names round 0 in {self.text!r}; "
+                        "rounds start at 1")
+                # kgroup positionally, as the detectors call it, so that
+                # both get the one cached expansion
+                return build(self.n, *kw.values()) if name == "kgroup" \
+                    else build(**kw)
         raise FormulaSyntaxError(
             f"{name} takes no {len(args)} arguments in {self.text!r}")
 

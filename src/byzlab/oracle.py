@@ -24,8 +24,9 @@ from typing import Dict, List, Optional, Tuple
 from .atoms import AtomTimeError, Correct, eval_atom
 from .formulas import (
     Always, And, Atom, Believe, Formula, Hope, Implies, Know, Not, Or,
+    nested_hope,
 )
-from .haps import AgentId, GlobalState, LocalHistory, Run, Timestamp
+from .haps import AgentId, GlobalState, LocalHistory, Run, Send, Timestamp
 
 Point = Tuple[int, Timestamp]  # (run index, time)
 
@@ -229,11 +230,9 @@ class InterpretedSystem:
     def verify_trust_table(self, trust, protocols) -> list:
         """Violations of the trustworthy-message contract, as a list of
         (sender, receiver, msg, point) tuples."""
-        from .chains import certified_formula
-        from .haps import Send
         violations = []
-        for (j, i, msg), entry in sorted(trust.entries.items()):
-            fid = self._compile(Believe(j, certified_formula(entry)))
+        for (j, i, msg), (phi, chain) in sorted(trust.entries.items()):
+            fid = self._compile(Believe(j, nested_hope(chain, phi)))
             for h, pts in self.agent_classes(j).items():
                 offers = protocols[j - 1](h)
                 if any(any(isinstance(a, Send) and a.to == i and a.msg == msg

@@ -1,4 +1,4 @@
-"""Canonical textual serialization of haps, histories and states.
+"""Canonical textual serialization of haps and hap sets.
 
 Local haps serialize as JSON arrays:
 
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .haps import (
     ByzAction, ByzEvent, External, GExternal, GMI, GRecv, GSend, GlobalHap,
-    GlobalState, Go, Hib, LocalHap, LocalHistory, Recv, Run, Send, Sleep,
+    Go, Hib, LocalHap, Recv, Send, Sleep,
 )
 
 
@@ -230,24 +230,3 @@ def order_sets(sets, hap_key) -> tuple:
 def hapset_to_json(haps, to_json) -> list:
     return sorted((to_json(h) for h in haps),
                   key=lambda v: json.dumps(v, separators=(",", ":")))
-
-
-def history_to_json(h: LocalHistory) -> dict:
-    return {"initial": h.initial,
-            "rounds": [hapset_to_json(rnd, local_to_json) for rnd in h.rounds]}
-
-
-def history_from_json(v: dict, n: int) -> LocalHistory:
-    return LocalHistory(
-        v["initial"],
-        tuple(frozenset(local_from_json(a, n) for a in rnd)
-              for rnd in v["rounds"]))
-
-
-def state_to_json(s: GlobalState) -> dict:
-    return {"env": [hapset_to_json(rnd, ghap_to_json) for rnd in s.env],
-            "locals": [history_to_json(h) for h in s.locals]}
-
-
-def run_to_json(r: Run) -> list:
-    return [state_to_json(s) for s in r.states]

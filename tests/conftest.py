@@ -20,6 +20,16 @@ def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name + ".json")
 
 
+def pairwise_disjoint(chains) -> bool:
+    """No agent lies on two of the chains."""
+    seen = set()
+    for s in chains:
+        if seen & set(s):
+            return False
+        seen |= set(s)
+    return True
+
+
 @pytest.fixture(scope="session")
 def suite():
     """name -> (scenario, runs, interpreted system), built once."""

@@ -16,8 +16,7 @@ import pytest
 
 from byzlab.atoms import Correct, Faulty, Init, Occurred, OccurredCorrectly
 from byzlab.chains import (
-    chains_minus, extract_chains, extract_chains_all, max_disjoint,
-    pairwise_disjoint, shorten_chain, threshold_belief,
+    extract_chains, max_disjoint, shorten_chain, threshold_witness,
 )
 from byzlab.detect import (
     DetectionInput, belief_who_is_faulty, cross_check, group_occurrence_belief,
@@ -30,7 +29,7 @@ from byzlab.formulas import (
 from byzlab.haps import External, Recv
 from byzlab.scenario import load_scenario
 from byzlab.trace import trace_lines
-from tests.conftest import scenario_path
+from tests.conftest import pairwise_disjoint, scenario_path
 
 
 _CAPMAN = None
@@ -172,11 +171,10 @@ def test_06_chain_soundness_and_shortening(suite):
     bad = []
     looped = 0
     for name, (sc, runs, sysm) in suite.items():
-        bases = {phi for phi, _ in sc.trust.entries.values()}
         for i in range(1, sc.ctx.n + 1):
             for h, pts in sysm.agent_classes(i).items():
-                for phi in bases:
-                    for sigma in sorted(extract_chains_all(h, i, phi, sc.trust)):
+                for phi, chains in extract_chains(h, i, sc.trust):
+                    for sigma in sorted(chains):
                         if not sysm.eval(pts[0],
                                          Believe(i, nested_hope(sigma, phi))):
                             bad.append((name, i, sigma, "unsound"))
@@ -195,7 +193,6 @@ def test_07_threshold_packing(suite, reports):
     bad = []
     fired = 0
     for name, (sc, runs, sysm) in suite.items():
-        bases = {phi for phi, _ in sc.trust.entries.values()}
         refuted = {(i, p) for i, _, p, confirmed in cross_check(sc, sysm)
                    if not confirmed}
         for i in range(1, sc.ctx.n + 1):
@@ -207,10 +204,8 @@ def test_07_threshold_packing(suite, reports):
                 # only oracle-verified F feeds the threshold rule
                 if (i, pts[0]) in refuted:
                     continue
-                for phi in bases:
-                    chains = chains_minus(
-                        extract_chains(h, i, phi, sc.trust), F)
-                    if threshold_belief(chains, F, sc.ctx.f):
+                for phi, chains in extract_chains(h, i, sc.trust):
+                    if threshold_witness(chains, F, sc.ctx.f) is not None:
                         fired += 1
                         if not sysm.eval(pts[0], Believe(i, phi)):
                             bad.append((name, i, phi, pts[0]))

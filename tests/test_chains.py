@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty
 from byzlab.chains import (
-    PackingCapExceeded, TrustTable, chains_minus, extract_chains,
-    extract_chains_all, max_disjoint, pairwise_disjoint, shorten_chain,
-    threshold_belief,
+    PackingCapExceeded, TrustTable, chains_about, extract_chains,
+    max_disjoint, shorten_chain, threshold_witness,
 )
 from byzlab.formulas import Atom, Not
 from byzlab.haps import LocalHistory, Recv
+from tests.conftest import pairwise_disjoint
 
 
 def brute_force_max(chains):
@@ -61,17 +61,28 @@ def test_extraction_matches_formula_and_receiver():
         frozenset({Recv(2, "direct"), Recv(2, "other")}),
         frozenset({Recv(4, "relay"), Recv(4, "loop"), Recv(5, "direct")}),
     ))
-    assert extract_chains_all(h, 1, PHI, TRUST) == \
-        frozenset({(2,), (4, 2), (4, 1, 4)})
-    # refined set drops the looped chain; Recv(5, direct) has no entry
-    assert extract_chains(h, 1, PHI, TRUST) == frozenset({(2,), (4, 2)})
-    assert extract_chains(h, 1, Atom(Faulty(4)), TRUST) == frozenset({(2,)})
+    # one entry per base formula, loops kept; Recv(5, direct) has no entry
+    extracted = extract_chains(h, 1, TRUST)
+    assert extracted == (
+        (PHI, frozenset({(2,), (4, 2), (4, 1, 4)})),
+        (Atom(Faulty(4)), frozenset({(2,)})),
+    )
+    assert chains_about(extracted, Atom(Faulty(4))) == frozenset({(2,)})
+    assert chains_about(extracted, Atom(Faulty(5))) == frozenset()
+    # receipts addressed to another agent certify nothing to agent 2
+    assert extract_chains(h, 2, TRUST) == \
+        ((PHI, frozenset()), (Atom(Faulty(4)), frozenset()))
 
 
 def test_chains_minus_drops_touching_chains():
     chains = frozenset({(2,), (4, 2), (5,)})
-    assert chains_minus(chains, {2}) == frozenset({(5,)})
-    assert chains_minus(chains, set()) == chains
+    # F = {2} leaves (5,) alone; more than f - |F| = 0 chains is one
+    assert threshold_witness(chains, {2}, 1) == frozenset({(5,)})
+    assert threshold_witness(chains, set(), 1) == frozenset({(2,), (5,)})
+    # `avoid` drops chains as F does without lowering the threshold
+    assert threshold_witness(chains, set(), 0, avoid={2}) == \
+        frozenset({(5,)})
+    assert threshold_witness(chains, set(), 1, avoid={2}) is None
 
 
 def test_shorten_chain_removes_loops():
@@ -92,8 +103,13 @@ def test_shorten_chain_yields_repetition_free_subsequence(chain):
 
 def test_threshold_belief():
     chains = frozenset({(2,), (3,), (4, 5)})
-    assert threshold_belief(chains, set(), 2)          # 3 > 2
-    assert not threshold_belief(chains, set(), 3)      # 3 > 3 fails
-    assert threshold_belief(chains, {4}, 2)            # 2 > 1
-    with pytest.raises(ValueError):
-        threshold_belief(chains, {1, 2, 3}, 2)
+    assert threshold_witness(chains, set(), 2) == chains     # 3 > 2
+    assert threshold_witness(chains, set(), 3) is None       # 3 > 3 fails
+    assert threshold_witness(chains, {4}, 2) is not None     # 2 > 1
+    # k-group occurrence needs k + f - |F| chains: 3 >= 2 + 1, not 3 + 1
+    assert threshold_witness(chains, set(), 1, k=2) is not None
+    assert threshold_witness(chains, set(), 1, k=3) is None
+    # a looped chain never counts
+    assert threshold_witness(chains | {(6, 7, 6)}, set(), 3) is None
+    # an F beyond f needs no chain at all: the empty packing clears it
+    assert threshold_witness(frozenset(), {1, 2, 3}, 2) == frozenset()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty, OccurredCorrectly
-from byzlab.chains import TrustTable
+from byzlab import detect
+from byzlab.chains import TrustTable, extract_chains
 from byzlab.detect import (
     DetectionInput, belief_who_is_faulty, dir_notif_faulty,
     dir_obs_faulty, group_occurrence_belief, local_knowledge,
@@ -39,7 +40,7 @@ def test_dir_notif_needs_a_singleton_chain():
         (3, 1, "gossip"): (Atom(Faulty(3)), (2,)),
     })
     h = LocalHistory("s", (frozenset({Recv(2, "sorry"), Recv(3, "gossip")}),))
-    assert dir_notif_faulty(h, 1, trust) == {2}
+    assert dir_notif_faulty(extract_chains(h, 1, trust)) == {2}
 
 
 def test_self_check_spots_unoffered_actions():
@@ -205,3 +206,31 @@ def test_group_occurrence_counts_chains():
     assert not group_occurrence_belief(self_both, 1, k=2, **args)
     assert group_occurrence_belief(self_both, 1, k=2, include_self=True, **args)
     assert not group_occurrence_belief(both, 1, k=2, include_self=True, **args)
+
+
+def test_one_extraction_per_detector_call(monkeypatch, suite):
+    calls = []
+    inner = detect.extract_chains
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(detect, "extract_chains", counted)
+    answered = 0
+    for name, (sc, runs, system) in suite.items():
+        n, f = sc.ctx.n, sc.ctx.f
+        for i in range(1, n + 1):
+            for h in system.agent_classes(i):
+                calls.clear()
+                rep = belief_who_is_faulty(DetectionInput(
+                    h, i, f, sc.ctx.protocols, sc.trust))
+                assert len(calls) == 1, (name, i, h)
+                F = rep.faulty if len(rep.faulty) <= f else set()
+                for k in range(1, n - f + 1):
+                    calls.clear()
+                    answered += group_occurrence_belief(
+                        h, i, External("blast"), k, f, F, sc.trust, n,
+                        include_self=True)
+                    assert len(calls) == 1, (name, i, h, k)
+    assert answered > 0

@@ -167,6 +167,19 @@ def test_enumeration_cap(suite):
             enumerate_runs(replace(sc.ctx, node_cap=edges - 1))
 
 
+def test_choice_tree_count_shares_the_node_cap(suite):
+    # both walks count tree edges against one cap, with one message
+    for name, (sc, runs, _) in suite.items():
+        edges = tree_edges(sc.ctx)
+        assert count_choice_tree(replace(sc.ctx, node_cap=edges)) == \
+            len(runs), name
+        for walk in (enumerate_runs, count_choice_tree):
+            with pytest.raises(CapExceeded,
+                               match=f"^enumeration exceeded {edges - 1} "
+                               "explored nodes$"):
+                walk(replace(sc.ctx, node_cap=edges - 1))
+
+
 def ref_edges(ctx):
     """The reference walk's tree edges in walk order, each flagged when
     it leads to or lies below a repeated child: one whose state equals

@@ -50,6 +50,20 @@ def test_parse_checks_agent_ids_against_n():
     assert parse_formula("K[9](faulty(1))") == Know(9, Atom(Faulty(1)))
 
 
+def test_round_atoms_start_at_round_1():
+    for bad in ["fake(1,0,ext(e))", "occ_c(1,0,ext(e))",
+                "B[1](occ_c(2,0,recv(1,m)))"]:
+        with pytest.raises(FormulaSyntaxError, match="names round 0"):
+            parse_formula(bad, n=3)
+    assert parse_formula("fake(1,1,ext(e))") == \
+        Atom(Fake(1, 1, External("e")))
+    assert parse_formula("occ_c(1,1,ext(e))") == \
+        Atom(OccurredCorrectly(External("e"), 1, 1))
+    # correct and faulty read a time, and time 0 is the initial state
+    assert parse_formula("correct(1,0) & faulty(2,0)") == \
+        And(Atom(Correct(1, 0)), Atom(Faulty(2, 0)))
+
+
 def test_nesting_is_bounded():
     past = MAX_DEPTH + 1
     for deep in ("!" * 1200 + "faulty(1)", "(" * 300 + "faulty(1)" + ")" * 300,
@@ -63,7 +77,8 @@ def test_nesting_is_bounded():
 
 def test_kgroup_expansion():
     phi = parse_formula("kgroup(2,ext(e))", n=3)
-    assert phi == group_occurrence_formula(3, 2, External("e"))
+    # the very object the detectors look up, so comparing them is O(1)
+    assert phi is group_occurrence_formula(3, 2, External("e"))
     assert unparse(phi).count("G(") == 6   # 3 pairs x 2 conjuncts
 
 
@@ -120,8 +135,9 @@ def test_grammar_rejects_non_persistent_shapes():
 
 
 # Every textual form: each signature of each atom and hap, with hap names
-# among the names a message, event or initial state may take.
-agents, times = st.integers(1, 3), st.integers(0, 4)
+# among the names a message, event or initial state may take.  A time
+# starts at 0, a round (of `fake` and `occ_c`) at 1.
+agents, times, rounds = st.integers(1, 3), st.integers(0, 4), st.integers(1, 4)
 names = st.sampled_from(["m", "e", "s0", "7", "recv", "send", "ext"])
 haps = st.one_of(
     st.builds(Recv, agents, names),
@@ -132,10 +148,10 @@ haps = st.one_of(
 every_atom = st.one_of(
     st.builds(Correct, agents), st.builds(Correct, agents, times),
     st.builds(Faulty, agents), st.builds(Faulty, agents, times),
-    st.builds(Fake, agents, times, haps),
+    st.builds(Fake, agents, rounds, haps),
     st.builds(OccurredCorrectly, haps),
     st.builds(OccurredCorrectly, haps, agents),
-    st.builds(OccurredCorrectly, haps, agents, times),
+    st.builds(OccurredCorrectly, haps, agents, rounds),
     st.builds(Occurred, haps, agents),
     st.builds(Happened, haps, agents),
     st.builds(FakeHappened, haps, agents),

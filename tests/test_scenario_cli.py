@@ -297,6 +297,14 @@ def test_cli_simulate_enumerate(capsys):
     assert report["runs"] == 6
 
 
+def test_cli_simulate_enumerate_writes_no_run_file(tmp_path, capsys):
+    out = tmp_path / "runs.json"
+    assert main(["simulate", scenario_path("s08_delivery_race"),
+                 "--enumerate", "--out", str(out)]) == 2
+    assert "error: --out: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_detect(tmp_path, capsys):
     out = tmp_path / "run.trace"
     main(["simulate", scenario_path("s02_obvious"), "--seed", "1",
@@ -355,6 +363,24 @@ def test_cli_check_names_an_inadmissible_atom_time(capsys):
                  "--formula", "faulty(4,2)"]) == 2
     err = capsys.readouterr().err
     assert "'faulty(4,2)'" in err and "at run 0, t=0" in err
+
+
+@pytest.mark.parametrize("formula", ["fake(1,0,ext(e))", "occ_c(1,0,ext(e))"])
+def test_round_0_atom_exits_2_naming_the_formula(tmp_path, capsys, formula):
+    assert main(["check", scenario_path("s01_quiet"),
+                 "--formula", formula]) == 2
+    err = capsys.readouterr().err
+    assert "error: --formula: " in err and repr(formula) in err
+    assert "names round 0" in err
+    with open(scenario_path("s01_quiet")) as fh:
+        doc = json.load(fh)
+    doc["trust_table"] = [{"from": 1, "to": 2, "msg": "m",
+                           "formula": f"H[1]({formula})"}]
+    p = tmp_path / "round0.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "error: trust_table[0].formula: " in err and formula in err
 
 
 @pytest.mark.parametrize("formula", ["K[0](faulty(4))", "K[9](faulty(4))",
@@ -433,6 +459,12 @@ def test_cli_node_cap_env(tmp_path, capsys, monkeypatch):
     assert main(["check", scenario_path("s08_delivery_race"),
                  "--formula", "faulty(1)"]) == 3
     capsys.readouterr()
+    # validate counts the choice tree against the same cap
+    monkeypatch.setenv("BYZLAB_NODE_CAP", "5")
+    for argv in (["validate"], ["simulate", "--enumerate"]):
+        assert main(argv[:1] + [scenario_path("s07_sleep")] + argv[1:]) == 3
+        assert "error: enumeration exceeded 5 explored nodes" in \
+            capsys.readouterr().err, argv
     # s01_quiet has no caps, so the error must name the variable
     for raw in ("many", "0", "-4", "2.5"):
         monkeypatch.setenv("BYZLAB_NODE_CAP", raw)

@@ -5,8 +5,7 @@ from byzlab.haps import (
     Send, Sleep, fail,
 )
 from byzlab.serial import (
-    ghap_from_json, ghap_key, ghap_to_json, history_from_json,
-    history_to_json, local_from_json, local_to_json,
+    ghap_from_json, ghap_key, ghap_to_json, local_from_json, local_to_json,
 )
 
 agents = st.integers(min_value=1, max_value=5)
@@ -50,9 +49,3 @@ def test_key_separates_sets(X):
     keys = {ghap_key(g) for g in X}
     assert len(keys) == len(X)
 
-
-@given(st.lists(st.frozensets(local_haps, max_size=4), max_size=4))
-def test_history_roundtrip(rounds):
-    from byzlab.haps import LocalHistory
-    h = LocalHistory("s0", tuple(rounds))
-    assert history_from_json(history_to_json(h), 5) == h

@@ -23,7 +23,9 @@ Chain = Tuple[AgentId, ...]
 # (base formula, its chains) per base, in the order of `TrustTable.bases`
 Extraction = Tuple[Tuple[Formula, FrozenSet[Chain]], ...]
 
-MAX_PACKING_INPUT = 64
+# The most chains `max_disjoint` packs: its exact search is exponential,
+# and 40 random two-agent chains already took 8 s on a 2-CPU VM.
+MAX_PACKING_INPUT = 32
 
 
 class PackingCapExceeded(ValueError):

@@ -6,9 +6,9 @@
     byzlab check    SCENARIO [--formula STR] [--against-detection]
     byzlab validate SCENARIO
 
-Exit codes: 0 success, 2 invalid scenario/trace/formula, 3 exploration
-cap exceeded, 4 a detector claim the oracle refutes.  The environment
-variable BYZLAB_NODE_CAP overrides the scenario's node cap.
+Exit codes: 0 success, 2 invalid scenario/trace/formula, 3 node or
+packing cap exceeded, 4 a detector claim the oracle refutes.  The
+environment variable BYZLAB_NODE_CAP overrides the scenario's node cap.
 """
 
 from __future__ import annotations

@@ -14,14 +14,15 @@ each of its sets: `close_menu` saturates a base menu under them and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .haps import (
     FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GRecv, Go, Hib,
     LocalHistory, Recv, Send, Sleep, Timestamp, fail,
 )
-from .serial import ghap_key, local_key, order_sets
+from .serial import order_sets
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class Rule:
 
     def __post_init__(self):
         # the adversary's deterministic order over the choices
-        object.__setattr__(self, "choices", order_sets(self.choices, local_key))
+        object.__setattr__(self, "choices", order_sets(self.choices))
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,7 @@ class AgentProtocol:
         return frozenset(out)
 
 
-# Guards are tuples: ("always",), ("received", j, msg), ("sent", j, msg),
-# ("observed", hap), ("initial", lam), ("active_at_least", k),
-# ("self_faulty",), ("not", g), ("all", g...), ("any", g...).
+# Guards are the tuples (operator, *arguments) of `serial.FORMS`.
 
 def guard_holds(guard: tuple, h: LocalHistory, protocol: AgentProtocol,
                 self_faulty=None) -> bool:
@@ -109,7 +108,7 @@ class EnvProtocol:
     def __post_init__(self):
         # the adversary's deterministic order over each menu
         object.__setattr__(self, "menus", tuple(
-            order_sets(menu, ghap_key) for menu in self.menus))
+            order_sets(menu) for menu in self.menus))
 
     def __call__(self, t: Timestamp) -> tuple:
         if t < len(self.menus):
@@ -166,38 +165,52 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
     return True
 
 
-def _fault_subsets(menu, n: AgentId) -> Dict[AgentId, list]:
-    """Each agent's subsets of its fault alphabet over the menu."""
-    out = {}
-    for i, alpha in fault_alphabet(menu, n).items():
-        items = sorted(alpha, key=repr)
-        out[i] = [frozenset(g for k, g in enumerate(items) if mask >> k & 1)
-                  for mask in range(1 << len(items))]
-    return out
+def _subsets(items: tuple):
+    """Every subset of `items`, made as it is read."""
+    for mask in range(1 << len(items)):
+        yield frozenset(g for k, g in enumerate(items) if mask >> k & 1)
 
 
-def _closure_moves(X: frozenset, fault_subsets: Dict[AgentId, list]):
+def _fault_subsets(menu, n: AgentId) -> Dict[AgentId, Iterator]:
+    """Each agent's subsets of its fault alphabet over the menu, made
+    lazily; `_closure_moves` reads them through `itertools.tee`, so each
+    is made once however many sets read it."""
+    return {i: _subsets(tuple(alpha))
+            for i, alpha in fault_alphabet(menu, n).items()}
+
+
+def _closure_moves(X: frozenset, fault_subsets: Dict[AgentId, Iterator],
+                   found=()):
     """(agent i, property, set) for each move a closed menu must admit
     from X: fallible adds fail(i), correctable drops i's fault events,
     delayable drops all of i's events and gullible joins that last set
-    with each subset of i's fault alphabet."""
-    for i, subsets in fault_subsets.items():
+    with each subset of i's fault alphabet.  The gullible moves are made
+    as they are read, and no more once (i, "gullible") is in `found`."""
+    for i in fault_subsets:
         yield i, "fallible", X | {fail(i)}
         yield i, "correctable", X - frozenset(
             g for g in X if g.agent == i and isinstance(g, FAULT_KINDS))
         stripped = X - frozenset(g for g in X if g.agent == i)
         yield i, "delayable", stripped
+        fault_subsets[i], subsets = itertools.tee(fault_subsets[i])
+        gullible = i, "gullible"
         for Y in subsets:
+            if gullible in found:
+                break
             yield i, "gullible", stripped | Y
 
 
 def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     """Saturate a menu under the four agent-fault closure properties:
     the fixpoint of every t-coherent closure move.  The closure comes
-    back unordered; `EnvProtocol` orders it.
+    back unordered; `EnvProtocol` orders it.  ValueError as soon as it
+    holds more than `cap` sets.
     """
+    too_many = f"menu closure at t={t} exceeds cap {cap}"
     subsets = _fault_subsets(base, n)
     seen = {frozenset(X) for X in base}
+    if len(seen) > cap:
+        raise ValueError(too_many)
     frontier = list(seen)
     while frontier:
         new = []
@@ -206,47 +219,25 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
                 if C not in seen and check_t_coherent(C, t):
                     seen.add(C)
                     new.append(C)
-            if len(seen) > cap:
-                raise ValueError(f"menu closure at t={t} exceeds cap {cap}")
+                    if len(seen) > cap:
+                        raise ValueError(too_many)
         frontier = new
     return frozenset(seen)
 
 
 def check_closure_properties(ctx) -> Dict[AgentId, Dict[str, bool]]:
     """Check fallible/correctable/delayable/gullible per agent, all t: a
-    property fails where one of its t-coherent moves leaves the menu."""
-    report = {i: dict.fromkeys(
-        ("fallible", "correctable", "delayable", "gullible"), True)
-        for i in range(1, ctx.n + 1)}
+    property fails where one of its t-coherent moves leaves the menu.
+    The moves of a property already found false are not tested."""
+    found = set()  # (agent, property) pairs found false
     for t in range(ctx.horizon):
         menu = set(ctx.env(t))
         subsets = _fault_subsets(menu, ctx.n)
         for X in menu:
-            for i, prop, C in _closure_moves(X, subsets):
-                if report[i][prop] and C not in menu \
+            for i, prop, C in _closure_moves(X, subsets, found):
+                if (i, prop) not in found and C not in menu \
                         and check_t_coherent(C, t):
-                    report[i][prop] = False
-    return report
-
-
-def relay_rules(trust, agent: AgentId) -> List[Rule]:
-    """Rules forwarding trust-tagged receipts one hop further.
-
-    For every pair of table entries (j -> agent, mu) carrying (phi, chain)
-    and (agent -> k, mu') carrying (phi, (j,) + chain), emit a rule that
-    sends mu' upon having received mu.  Receipt of mu certifies belief in
-    the nested hope the outgoing tag promises, so the generated rules
-    keep the trust table verifiable.
-    """
-    rules = []
-    for (s, r, msg), (phi, chain) in sorted(trust.entries.items(), key=repr):
-        if s != agent:
-            continue
-        if not chain:
-            continue
-        j, rest = chain[0], tuple(chain[1:])
-        for (s2, r2, msg2), (phi2, chain2) in trust.entries.items():
-            if s2 == j and r2 == agent and phi2 == phi and chain2 == rest:
-                rules.append(Rule(("received", j, msg2),
-                                  (frozenset({Send(r, msg)}),)))
-    return rules
+                    found.add((i, prop))
+    return {i: {prop: (i, prop) not in found for prop in
+                ("fallible", "correctable", "delayable", "gullible")}
+            for i in range(1, ctx.n + 1)}

@@ -6,7 +6,7 @@ required:
     agents           int >= 1, the number of agents n
     f                int in 0..n, fault budget (default 0)
     template         "B" or "Bf" (default "Bf")
-    horizon          int >= 1, number of rounds to run
+    horizon          int in 1..MAX_HORIZON (256), number of rounds to run
     initial_states   non-empty list of joint states, each a list of n
                      state-id strings, e.g. [["a","b","b"]]
     agent_protocols  object from agent id "1".."n" to a list of rules
@@ -24,16 +24,11 @@ required:
     caps             {"node_cap": int >= 1 (default 1000000),
                       "menu_cap": int >= 1 (default 4096)}   (default {})
 
-A guard is ["always"], ["self_faulty"], ["received", agent, msg],
-["sent", agent, msg], ["observed", local hap], ["initial", state id],
-["active_at_least", int], ["not", guard] or ["all"|"any", guard, ...].
-
-Haps follow the canonical array serialization.  Menu sets hold events
-only, and rule choices hold sends only: a correct send comes from an
-agent's protocol, never from the environment.  A `gsend` inside a byz
-action may give null for `sent_at`; it is filled with the timestamp of
-the menu it appears in.  A menu marked "close" is saturated
-so every agent stays fallible, correctable, delayable and gullible.
+Haps and guards take the forms `serial.FORMS` lists, each with exactly
+its listed arguments.  Menu sets hold events only, and rule choices
+hold sends only: a correct send comes from an agent's protocol, never
+from the environment.  A menu marked "close" is saturated so every
+agent stays fallible, correctable, delayable and gullible.
 Every agent a hap, a guard, a trust entry or an `agent_protocols` key
 names must lie in 1..n.  A value of the wrong type raises ScenarioError
 with its JSON path, like every other violation.
@@ -52,8 +47,7 @@ from .protocols import (
     AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
 )
 from .serial import (
-    InputError, agent_id, decode_haps, field, ghap_from_json, local_from_json,
-    parse_json, read_text, typed,
+    InputError, decode, decode_haps, field, parse_json, read_text, typed,
 )
 
 ScenarioError = InputError  # `where` is a path into the JSON document
@@ -67,32 +61,10 @@ class Scenario:
     seed: int
 
 
-# guard operator -> number of arguments; "all" and "any" take any number
-_GUARD_ARITY = {"always": 0, "self_faulty": 0, "received": 2, "sent": 2,
-                "observed": 1, "initial": 1, "active_at_least": 1, "not": 1}
-
-
-def _guard_from_json(v, where: str, n: int) -> tuple:
-    op = typed(typed(v, where, list, lo=1)[0], where, str)
-    if op in _GUARD_ARITY and len(v) != 1 + _GUARD_ARITY[op]:
-        raise ScenarioError(
-            where, f"guard {op!r} takes {_GUARD_ARITY[op]} argument(s)")
-    if op in ("always", "self_faulty"):
-        return (op,)
-    if op in ("received", "sent"):
-        return (op, agent_id(v[1], n, where), typed(v[2], where, str))
-    if op == "observed":
-        hap, = decode_haps(v[1:], where, local_from_json, n)
-        return (op, hap)
-    if op == "initial":
-        return (op, typed(v[1], where, str))
-    if op == "active_at_least":
-        return (op, typed(v[1], where, int))
-    if op == "not":
-        return (op, _guard_from_json(v[1], where, n))
-    if op in ("all", "any"):
-        return (op, *(_guard_from_json(g, where, n) for g in v[1:]))
-    raise ScenarioError(where, f"unknown guard operator {op!r}")
+# The longest horizon a scenario may ask for: the enumeration walks and the
+# choice-tree count recurse once per round, and a horizon near 1,000 would
+# exhaust Python's default recursion limit.
+MAX_HORIZON = 256
 
 
 def load_scenario(path: str, name: Optional[str] = None,
@@ -109,7 +81,7 @@ def scenario_from_json(doc: dict, name: str,
     template = field(doc, "template", "template", str, "Bf")
     if template not in ("B", "Bf"):
         raise ScenarioError("template", f"unknown template {template!r}")
-    horizon = field(doc, "horizon", "horizon", int, lo=1)
+    horizon = field(doc, "horizon", "horizon", int, lo=1, hi=MAX_HORIZON)
 
     initials = []
     for k, joint in enumerate(
@@ -130,13 +102,13 @@ def scenario_from_json(doc: dict, name: str,
         rules = []
         for k, rd in enumerate(field(raw_prots, str(i), where, list, [])):
             rw = f"{where}[{k}]"
-            guard = _guard_from_json(
-                typed(rd, rw, dict).get("guard", ["always"]), rw + ".guard", n)
+            guard = decode(typed(rd, rw, dict).get("guard", ["always"]),
+                           rw + ".guard", "guard", n)
             choices = []
             for m, D in enumerate(field(rd, "choices", rw + ".choices", list,
                                         lo=1)):
                 choices.append(decode_haps(D, f"{rw}.choices[{m}]",
-                                           local_from_json, n))
+                                           "local hap", n))
                 if not all(isinstance(a, Send) for a in choices[-1]):
                     raise ScenarioError(f"{rw}.choices[{m}]",
                                         "choices hold sends only")
@@ -156,7 +128,7 @@ def scenario_from_json(doc: dict, name: str,
         menu = []
         for k, S in enumerate(field(typed(md, where, dict), "sets",
                                     where + ".sets", list, [[]])):
-            X = decode_haps(S, f"{where}.sets[{k}]", ghap_from_json, n, t)
+            X = decode_haps(S, f"{where}.sets[{k}]", "global hap", n, t)
             if not all(is_event(g) for g in X):
                 raise ScenarioError(f"{where}.sets[{k}]",
                                     "menus hold events only")
@@ -179,8 +151,8 @@ def scenario_from_json(doc: dict, name: str,
     for k, ed in enumerate(field(doc, "trust_table", "trust_table", list, [])):
         where = f"trust_table[{k}]"
         typed(ed, where, dict)
-        key = (agent_id(ed.get("from"), n, where + ".from"),
-               agent_id(ed.get("to"), n, where + ".to"),
+        key = (typed(ed.get("from"), where + ".from", int, 1, n),
+               typed(ed.get("to"), where + ".to", int, 1, n),
                field(ed, "msg", where + ".msg", str))
         text = field(ed, "formula", where + ".formula", str)
         try:
@@ -188,7 +160,7 @@ def scenario_from_json(doc: dict, name: str,
         except ValueError as e:
             raise ScenarioError(where + ".formula", str(e))
         entries[key] = (phi, tuple(
-            agent_id(a, n, where + ".chain")
+            typed(a, where + ".chain", int, 1, n)
             for a in field(ed, "chain", where + ".chain", list, [])))
     try:
         trust = TrustTable(entries)

@@ -1,26 +1,15 @@
-"""Canonical textual serialization of haps and hap sets.
+"""Canonical JSON forms of haps and guards, and the checked reader of
+scenario files and traces.
 
-Local haps serialize as JSON arrays:
-
-    ["send", to, msg, copy]      ["recv", from, msg]      ["ext", event]
-
-Global haps:
-
-    ["gsend", agent, to, msg, copy, sent_at]
-    ["grecv", agent, from, msg, gmi-or-null]   gmi = [i, j, msg, copy, t]
-    ["gext", agent, event]
-    ["byz_action", agent, gsend-or-null, gsend-or-null]
-    ["byz_event", agent, event]
-    ["go", agent]  ["sleep", agent]  ["hib", agent]  ["fail", agent]
-
-Sets of haps serialize as sorted arrays, so equal sets always produce
-identical text.  The decoders take the agent count n and check while
-they decode: every agent a hap names, nested haps and GMIs included,
-is an integer in 1..n, messages and events are strings, copies and
-timestamps are integers, a byz_action carries only gsends and a
-byz_event only a grecv or a gext.  A violation raises ValueError (or
-whatever indexing the malformed value raises); `decode_haps` turns any
-of these into an `InputError` at a given place.
+`FORMS` is the one table of forms, a legend of their argument kinds:
+`agent` lies in 1..n; `copy` (default 0) and `GMI or null` (default
+null) may be left off the end; `time`, a gsend's sent_at, may be null
+in a menu for the menu's timestamp; the other kinds nest a form, and
+`...` repeats the kind before it.  A form is the JSON array of its name
+and exactly its arguments; a GMI is the bare array of its arguments.
+`to_json` writes a hap or GMI, `decode` and `decode_haps` read forms
+back, checking every argument and their count, and `hap_key`, a hap's
+compact JSON text, orders hap sets, so equal sets give identical text.
 
 Scenario files and traces are read through `read_text` and
 `parse_json`, and every check of a JSON value read from them goes
@@ -30,23 +19,37 @@ through `typed` and `field`; all of these raise
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Optional
 
 from .haps import (
-    ByzAction, ByzEvent, External, GExternal, GMI, GRecv, GSend, GlobalHap,
-    Go, Hib, LocalHap, Recv, Send, Sleep,
+    GMI, ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Hib,
+    Recv, Send, Sleep, fail,
 )
 
-
-def local_to_json(a: LocalHap) -> list:
-    if isinstance(a, Send):
-        return ["send", a.to, a.msg, a.copy]
-    if isinstance(a, Recv):
-        return ["recv", a.frm, a.msg]
-    if isinstance(a, External):
-        return ["ext", a.event]
-    raise TypeError(f"not a local hap: {a!r}")
+# family -> form name -> (builder, argument kinds in JSON order); a
+# guard's builder is None, for it is the tuple (name, *arguments)
+FORMS = {
+    "local hap": {"send": (Send, ("agent", "string", "copy")),
+                  "recv": (Recv, ("agent", "string")),
+                  "ext": (External, ("string",))},
+    "global hap": {
+        "gsend": (GSend, ("agent", "agent", "string", "integer", "time")),
+        "grecv": (GRecv, ("agent", "agent", "string", "GMI or null")),
+        "gext": (GExternal, ("agent", "string")),
+        "byz_action": (ByzAction, ("agent", "gsend or null", "gsend or null")),
+        "byz_event": (ByzEvent, ("agent", "grecv or gext")),
+        "fail": (fail, ("agent",)), "go": (Go, ("agent",)),
+        "sleep": (Sleep, ("agent",)), "hib": (Hib, ("agent",))},
+    "GMI": {"": (GMI, ("agent", "agent", "string", "integer", "integer"))},
+    "guard": {"always": (None, ()), "self_faulty": (None, ()),
+              "received": (None, ("agent", "string")),
+              "sent": (None, ("agent", "string")),
+              "observed": (None, ("local hap",)), "initial": (None, ("string",)),
+              "active_at_least": (None, ("integer",)),
+              "not": (None, ("guard",)), "all": (None, ("guard", ...)),
+              "any": (None, ("guard", ...))},
+}
 
 
 class InputError(ValueError):
@@ -108,125 +111,115 @@ def field(doc: dict, key: str, where: str, kind: type, default=None,
     return typed(doc.get(key, default), where, kind, lo, hi)
 
 
-def decode_haps(v, where: str, decode, *args) -> frozenset:
-    """The set of haps `decode(h, *args)` gives for each h of the JSON
-    list `v`; any error a malformed hap raises becomes InputError at
-    `where`."""
-    typed(v, where, list)
+def _plain(kind: type, lo=None):
+    """The reader of a JSON value of `kind`, in lo..n if `lo` is given."""
+    return lambda v, what, n, t: v if type(v) is kind and (
+        lo is None or lo <= v <= n) else typed(v, what, kind, lo, lo and n)
+
+
+def _nested(family: str, names, null: bool = False):
+    """The reader of a form of `family` named in `names`, or of null."""
+    def read(v, what, n, t):
+        if v is None and null:
+            return None
+        if typed(v, family, list, lo=1)[0] not in names:
+            raise ValueError(f"need {what}, got {v!r}")
+        return _read(v, family, n, t)
+    return read
+
+
+def _read(v, family: str, n: int, t):
+    """The value the form `v` of `family` spells; ValueError if none."""
+    if type(v) is not list or not v:
+        typed(v, family, list, lo=1)
     try:
-        return frozenset(decode(h, *args) for h in v)
-    except (ValueError, TypeError, IndexError, KeyError) as e:
-        raise InputError(where, f"bad hap: {e}") from None
+        build, readers, least, most = _SHAPES[family][v[0]]
+    except (KeyError, TypeError):
+        raise ValueError(f"{v[0]!r} is no {family}") from None
+    if not least <= len(v) <= most:
+        raise ValueError(f"{v[0] or family!r} takes {len(readers)} "
+                         f"argument(s), got {v!r}")
+    if most > 1 + len(readers):
+        readers *= len(v) - 1
+    values = []
+    for (read, kind), x in zip(readers, v[1:]):
+        values.append(read(x, kind, n, t))
+    return (v[0], *values) if build is None else build(*values)
 
 
-def agent_id(v, n: int, where: str = "agent") -> int:
-    """`v` when it names one of agents 1..n; InputError otherwise."""
-    return typed(v, where, int, 1, n)
+# kind -> reader of an argument, given it, its kind, n and the menu's t
+_READERS = {
+    "agent": _plain(int, 1), "string": _plain(str), "integer": _plain(int),
+    "copy": _plain(int), "time": lambda v, what, n, t: typed(
+        t if v is None and t is not None else v, what, int),
+    "GMI or null": lambda v, what, n, t: None if v is None else _read(
+        ["", *typed(v, what, list)], "GMI", n, t),  # a bare array, unnamed
+    "gsend or null": _nested("global hap", ("gsend",), null=True),
+    "grecv or gext": _nested("global hap", ("grecv", "gext")),
+    # a nested family recurses into `_read` directly, one frame per level
+    "local hap": _read, "guard": _read,
+}
 
 
-def local_from_json(v: list, n: int) -> LocalHap:
-    kind = v[0]
-    if kind == "send":
-        copy = typed(v[3], "copy", int) if len(v) > 3 else 0
-        return Send(agent_id(v[1], n), typed(v[2], "msg", str), copy)
-    if kind == "recv":
-        return Recv(agent_id(v[1], n), typed(v[2], "msg", str))
-    if kind == "ext":
-        return External(typed(v[1], "event", str))
-    raise ValueError(f"unknown local hap kind {kind!r}")
+def _shape(build, kinds) -> tuple:
+    """(builder, (reader, kind) per argument, least and most lengths)."""
+    readers = tuple((_READERS[k], k) for k in kinds if k is not ...)
+    optional = ... in kinds or kinds[-1:] in (("copy",), ("GMI or null",))
+    most = 1 << 30 if ... in kinds else 1 + len(readers)
+    return build, readers, 1 + len(readers) - bool(optional), most
 
 
-def _gmi_to_json(g: Optional[GMI]):
-    return None if g is None else [g.sender, g.receiver, g.msg, g.copy, g.sent_at]
+_SHAPES = {family: {name: _shape(*form) for name, form in forms.items()}
+           for family, forms in FORMS.items()}
 
 
-def _gmi_from_json(v, n: int) -> Optional[GMI]:
-    return None if v is None else \
-        GMI(agent_id(v[0], n), agent_id(v[1], n), typed(v[2], "msg", str),
-            typed(v[3], "copy", int), typed(v[4], "sent_at", int))
+def decode(v, where: str, family: str, n: int, t=None):
+    """The hap or guard of `family` the JSON value `v` spells, its agents
+    in 1..n, in a menu at time `t` if given; else InputError at `where`."""
+    try:
+        return _read(v, family, n, t)
+    except (ValueError, TypeError, LookupError, RecursionError) as e:
+        raise InputError(where, f"bad {family}: {e}") from None
 
 
-def ghap_to_json(g: GlobalHap) -> list:
-    if isinstance(g, GSend):
-        return ["gsend", g.agent, g.to, g.msg, g.copy, g.sent_at]
-    if isinstance(g, GRecv):
-        return ["grecv", g.agent, g.frm, g.msg, _gmi_to_json(g.gmi)]
-    if isinstance(g, GExternal):
-        return ["gext", g.agent, g.event]
-    if isinstance(g, ByzAction):
-        if g.performed is None and g.recorded is None:
-            return ["fail", g.agent]
-        return ["byz_action", g.agent,
-                None if g.performed is None else ghap_to_json(g.performed),
-                None if g.recorded is None else ghap_to_json(g.recorded)]
-    if isinstance(g, ByzEvent):
-        return ["byz_event", g.agent, ghap_to_json(g.event)]
-    if isinstance(g, Go):
-        return ["go", g.agent]
-    if isinstance(g, Sleep):
-        return ["sleep", g.agent]
-    if isinstance(g, Hib):
-        return ["hib", g.agent]
-    raise TypeError(f"not a global hap: {g!r}")
+def decode_haps(v, where: str, family: str, n: int, t=None) -> frozenset:
+    """The set of the haps `decode` reads from the JSON list `v`."""
+    return frozenset(decode(h, where, family, n, t)
+                     for h in typed(v, where, list))
 
 
-def _gsend_from_json(v, n: int, t: Optional[int]) -> Optional[GSend]:
-    if v is None:
-        return None
-    if v[0] != "gsend":
-        raise ValueError("byz_action carries gsends only")
-    return ghap_from_json(v, n, t)
+# hap or GMI type -> (form name, its fields in JSON order); `fail` is
+# the ByzAction without sides
+_WRITERS = {build: (name, build.__slots__[:len(kinds)])
+            for forms in FORMS.values() for name, (build, kinds) in forms.items()
+            if isinstance(build, type)}
 
 
-def ghap_from_json(v: list, n: int, t: Optional[int] = None) -> GlobalHap:
-    """The hap `v` encodes, every agent it names checked against 1..n.
-    A gsend's null `sent_at` is allowed only when `t`, the timestamp of
-    the menu the hap appears in, is given, and is filled with it."""
-    kind = v[0]
-    if kind == "gsend":
-        sent_at = t if v[5] is None and t is not None else v[5]
-        return GSend(agent_id(v[1], n), agent_id(v[2], n),
-                     typed(v[3], "msg", str), typed(v[4], "copy", int),
-                     typed(sent_at, "sent_at", int))
-    if kind == "grecv":
-        return GRecv(agent_id(v[1], n), agent_id(v[2], n),
-                     typed(v[3], "msg", str),
-                     _gmi_from_json(v[4], n) if len(v) > 4 else None)
-    if kind == "gext":
-        return GExternal(agent_id(v[1], n), typed(v[2], "event", str))
-    if kind == "fail":
-        return ByzAction(agent_id(v[1], n), None, None)
-    if kind == "byz_action":
-        return ByzAction(agent_id(v[1], n), _gsend_from_json(v[2], n, t),
-                         _gsend_from_json(v[3], n, t))
-    if kind == "byz_event":
-        if v[2][0] not in ("grecv", "gext"):
-            raise ValueError("byz_event carries a grecv or a gext")
-        return ByzEvent(agent_id(v[1], n), ghap_from_json(v[2], n, t))
-    if kind == "go":
-        return Go(agent_id(v[1], n))
-    if kind == "sleep":
-        return Sleep(agent_id(v[1], n))
-    if kind == "hib":
-        return Hib(agent_id(v[1], n))
-    raise ValueError(f"unknown global hap kind {kind!r}")
+def to_json(h) -> list:
+    """The canonical JSON form of a hap or a GMI."""
+    name, fields = _WRITERS[type(h)]
+    if name == "byz_action" and h.performed is h.recorded is None:
+        name, fields = "fail", fields[:1]
+    args = [to_json(a) if type(a) in _WRITERS else a
+            for a in map(getattr, itertools.repeat(h), fields)]
+    return [name, *args] if name else args
 
 
-def ghap_key(g: GlobalHap) -> str:
-    return json.dumps(ghap_to_json(g), separators=(",", ":"))
+_key = json.JSONEncoder(separators=(",", ":")).encode  # compact JSON text
 
 
-def local_key(a: LocalHap) -> str:
-    return json.dumps(local_to_json(a), separators=(",", ":"))
+def hap_key(h) -> str:
+    """The canonical key of a hap: its JSON form as compact text."""
+    return _key(to_json(h))
 
 
-def order_sets(sets, hap_key) -> tuple:
+def order_sets(sets) -> tuple:
     """Hap sets in canonical order: by their members' keys, sorted and
     joined with "|".  Each distinct hap's key is computed once."""
     keys = {h: hap_key(h) for h in frozenset().union(*sets)}
     return tuple(sorted(sets, key=lambda X: "|".join(sorted(keys[h] for h in X))))
 
 
-def hapset_to_json(haps, to_json) -> list:
-    return sorted((to_json(h) for h in haps),
-                  key=lambda v: json.dumps(v, separators=(",", ":")))
+def hapset_to_json(haps) -> list:
+    """The JSON forms of a set of haps, in `hap_key` order."""
+    return sorted(map(to_json, haps), key=_key)

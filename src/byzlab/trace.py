@@ -20,8 +20,8 @@ from typing import List, Tuple
 
 from .haps import Run, apply_round, initial_state
 from .serial import (
-    InputError, decode_haps, field, ghap_from_json, ghap_to_json,
-    hapset_to_json, parse_json, read_text, typed,
+    InputError, decode_haps, field, hapset_to_json, parse_json, read_text,
+    typed,
 )
 
 TRACE_VERSION = 1
@@ -43,7 +43,7 @@ def trace_lines(run: Run, scenario: str, seed=None) -> List[str]:
     for t, rnd in enumerate(final.env):
         lines.append(_dumps({
             "kind": "round", "t": t,
-            "haps": hapset_to_json(rnd, ghap_to_json),
+            "haps": hapset_to_json(rnd),
         }))
     return lines
 
@@ -85,6 +85,6 @@ def read_trace(path: str) -> Tuple[Run, dict]:
             raise TraceError(at, f"rounds out of order (t={rec['t']!r}, "
                              f"expected {t})")
         state = apply_round(state, decode_haps(
-            rec.get("haps"), f"{at}: haps", ghap_from_json, n))
+            rec.get("haps"), f"{at}: haps", "global hap", n))
         states.append(state)
     return Run(tuple(states)), header

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty
 from byzlab.chains import (
-    PackingCapExceeded, TrustTable, chains_about, extract_chains,
-    max_disjoint, shorten_chain, threshold_witness,
+    MAX_PACKING_INPUT, PackingCapExceeded, TrustTable, chains_about,
+    extract_chains, max_disjoint, shorten_chain, threshold_witness,
 )
 from byzlab.formulas import Atom, Not
 from byzlab.haps import LocalHistory, Recv
@@ -37,9 +37,11 @@ def test_packing_matches_brute_force(chains):
 
 
 def test_packing_cap():
-    many = frozenset((i,) for i in range(1, 100))
-    with pytest.raises(PackingCapExceeded):
-        max_disjoint(many)
+    assert MAX_PACKING_INPUT == 32
+    assert max_disjoint(frozenset((i,) for i in range(1, 33)))[0] == 32
+    for top in (34, 100):
+        with pytest.raises(PackingCapExceeded):
+            max_disjoint(frozenset((i,) for i in range(1, top)))
 
 
 def test_trust_table_rejects_non_persistent_base():

@@ -18,7 +18,7 @@ from byzlab.haps import (
 from byzlab.oracle import InterpretedSystem
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule, check_t_coherent
 from byzlab.scenario import ScenarioError, scenario_from_json
-from byzlab.serial import ghap_to_json
+from byzlab.serial import to_json
 from tests.conftest import replay_local, update_agent
 
 
@@ -481,7 +481,7 @@ def random_scenarios(draw):
             st.frozensets(menu_hap(t), max_size=3).filter(
                 lambda X, t=t: check_t_coherent(X, t)),
             min_size=1, max_size=3))
-        menus.append({"sets": [[ghap_to_json(g) for g in X] for X in sets],
+        menus.append({"sets": [[to_json(g) for g in X] for X in sets],
                       "close": draw(st.booleans())})
     guard = st.one_of(
         st.just(["always"]),

@@ -9,7 +9,7 @@ from byzlab.formulas import (
 )
 from byzlab.haps import External, Recv, Send
 from byzlab.oracle import InterpretedSystem
-from byzlab.serial import local_key
+from byzlab.serial import hap_key
 from tests.conftest import SCENARIO_NAMES, scenario_path
 
 
@@ -238,7 +238,7 @@ def _outcome(evaluate, p, phi):
 def test_oracle_matches_reference_evaluator(suite, name):
     sc, runs, _ = suite[name]
     n = sc.ctx.n
-    recorded = {(local_key(o), i): o for r in runs for i in range(1, n + 1)
+    recorded = {(hap_key(o), i): o for r in runs for i in range(1, n + 1)
                 for rnd in r.local(i, r.horizon).rounds for o in rnd}
     (_, j), hap = min(recorded.items()) if recorded else \
         ((None, 1), External("e"))

@@ -4,15 +4,12 @@ from dataclasses import replace
 import pytest
 
 from byzlab import check_closure_properties
-from byzlab.atoms import Faulty
-from byzlab.chains import TrustTable
-from byzlab.formulas import Atom
 from byzlab.haps import (
     External, GExternal, LocalHistory, Recv, Send, Sleep, fail,
 )
 from byzlab.protocols import (
     AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
-    fault_alphabet, guard_holds, relay_rules,
+    fault_alphabet, guard_holds,
 )
 from byzlab.scenario import load_scenario, scenario_from_json
 from tests.conftest import perfbench_gen, scenario_path
@@ -130,15 +127,3 @@ def test_close_menu_cap():
     base = (frozenset({Sleep(i) for i in range(1, 5)}),)
     with pytest.raises(ValueError):
         close_menu(base, 4, 0, cap=3)
-
-
-def test_relay_rules_forward_matching_tags():
-    phi = Atom(Faulty(4))
-    trust = TrustTable({
-        (2, 3, "a24"): (phi, ()),
-        (3, 1, "a34"): (phi, (2,)),
-    })
-    rules = relay_rules(trust, 3)
-    assert rules == [Rule(("received", 2, "a24"),
-                          (frozenset({Send(1, "a34")}),))]
-    assert relay_rules(trust, 2) == []

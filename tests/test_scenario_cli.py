@@ -1,12 +1,21 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import byzlab
+from byzlab.chains import MAX_PACKING_INPUT
 from byzlab.cli import main
 from byzlab.engine import seeded_run
 from byzlab.formulas import MAX_DEPTH
-from byzlab.scenario import ScenarioError, load_scenario, scenario_from_json
+from byzlab.scenario import (
+    MAX_HORIZON, ScenarioError, load_scenario, scenario_from_json,
+)
 from byzlab.trace import TraceError, read_trace, trace_lines
 from tests.conftest import SCENARIO_NAMES, scenario_path
 
@@ -189,6 +198,16 @@ _GUARD = ("agent_protocols", "2", 0, "guard")
     (_put("initial_states", 0, 2, value=None), "initial_states[0][2]"),
     (_put("agent_protocols", "2", 0, "choices", value=[[["send", 3, 5, 0]]]),
      "agent_protocols.2[0].choices[0]"),
+    (_put("agent_protocols", "2", 0, "choices",
+          value=[[["send", 3, "a24", 0, 0]]]),
+     "agent_protocols.2[0].choices[0]"),
+    (_put(*_GUARD, value=["observed", ["ext", "e", "x"]]),
+     "agent_protocols.2[0].guard"),
+    (_put("env_protocol", "menus", 1, "sets", 0, 0, value=["go", 2, 2]),
+     "env_protocol.menus[1].sets[0]"),
+    (_put("env_protocol", "menus", 1, "sets", 0, 1,
+          value=["grecv", 3, 2, "a24", None, None]),
+     "env_protocol.menus[1].sets[0]"),
 ], ids=["choice-kind", "choice-agent", "observed-agent", "received-agent",
         "sent-agent", "menu-agent", "menu-hap-object", "protocols-list", "guard-arity",
         "trust-formula", "byz-action-sender", "byz-action-go",
@@ -198,7 +217,8 @@ _GUARD = ("agent_protocols", "2", 0, "guard")
         "chain-int", "active-at-least-string", "trust-msg-list",
         "initial-list", "received-msg-int", "sent-msg-null", "close-string",
         "agents-true", "horizon-true", "seed-true", "protocol-key-9",
-        "initial-state-null", "choice-msg-int"])
+        "initial-state-null", "choice-msg-int", "send-extra",
+        "observed-ext-extra", "go-extra", "grecv-extra"])
 def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
                                                where):
     with open(scenario_path("s05_relay")) as fh:
@@ -472,6 +492,92 @@ def test_cli_node_cap_env(tmp_path, capsys, monkeypatch):
         assert "error: BYZLAB_NODE_CAP: " in capsys.readouterr().err, raw
 
 
+def _write_idle(tmp_path, horizon):
+    p = tmp_path / f"idle{horizon}.json"
+    p.write_text(json.dumps(minimal_doc(horizon=horizon,
+                                        env_protocol={"menus": []})))
+    return str(p)
+
+
+def test_horizon_is_bounded(tmp_path, capsys):
+    # the enumeration walks and the choice-tree count recurse once per
+    # round: at the bound every command still runs, past it loading fails
+    commands = (["validate"], ["simulate", "--enumerate"],
+                ["check", "--formula", "faulty(1)"])
+    path = _write_idle(tmp_path, MAX_HORIZON)
+    for argv in commands:
+        assert main(argv[:1] + [path] + argv[1:]) == 0, argv
+    capsys.readouterr()
+    path = _write_idle(tmp_path, MAX_HORIZON + 1)
+    for argv in commands:
+        assert main(argv[:1] + [path] + argv[1:]) == 2, argv
+        assert "error: horizon: " in capsys.readouterr().err, argv
+
+
+def _byzlab_limited(argv, megabytes=256, seconds=20):
+    """`byzlab argv` in a child process held to `megabytes` of address
+    space, so that a closure that grows exponentially fails fast."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20,) * 2)
+    src = os.path.dirname(os.path.dirname(byzlab.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "byzlab.cli", *argv], capture_output=True,
+        text=True, timeout=seconds, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+FAKE_EXTERNALS = 24
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_menu_closure_is_lazy_in_the_fault_alphabet(tmp_path, close):
+    # one menu set of k fake externals of agent 1: its fault alphabet
+    # has 2^(k+1) subsets, which neither the audit nor the closure may
+    # build before it has its answer
+    with open(scenario_path("s01_quiet")) as fh:
+        doc = json.load(fh)
+    fakes = [["byz_event", 1, ["gext", 1, f"e{j}"]]
+             for j in range(FAKE_EXTERNALS)]
+    doc.update(f=1, horizon=1,
+               env_protocol={"menus": [{"close": close, "sets": [fakes]}]})
+    p = tmp_path / "fakes.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    proc = _byzlab_limited(["validate", str(p)])
+    assert time.perf_counter() - start < 10
+    if close:
+        assert proc.returncode == 2
+        assert "error: env_protocol.menus[0]: menu closure at t=0 exceeds " \
+            "cap 4096" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert not json.loads(proc.stdout)["closure"]["1"]["gullible"]
+
+
+def test_detect_past_the_packing_cap_exits_3(tmp_path, capsys):
+    # agent 1 receives one trusted message about faulty(2) per chain
+    # (sender, x), each of which its sender's protocol may emit
+    pairs = [(s, x) for s in range(2, 10) for x in range(2, 10)
+             if s != x][:MAX_PACKING_INPUT + 1]
+    emits = {str(s): [{"guard": ["not", ["always"]], "choices": [
+        [["send", 1, f"m{s}{x}"]] for s2, x in pairs if s2 == s]}]
+        for s in {s for s, _ in pairs}}
+    trust = [{"from": s, "to": 1, "msg": f"m{s}{x}", "formula": "faulty(2)",
+              "chain": [x]} for s, x in pairs]
+    doc = minimal_doc(agents=9, f=1, initial_states=[["s"] * 9],
+                      env_protocol={}, agent_protocols=emits,
+                      trust_table=trust)
+    scen, trace = tmp_path / "pack.json", tmp_path / "pack.trace"
+    scen.write_text(json.dumps(doc))
+    trace.write_text("".join(json.dumps(rec) + "\n" for rec in (
+        {**HEADER, "agents": 9, "initials": ["s"] * 9},
+        {"kind": "round", "t": 0, "haps": [
+            ["grecv", 1, s, f"m{s}{x}", None] for s, x in pairs]})))
+    assert main(["detect", str(scen), "--trace", str(trace)]) == 3
+    assert f"error: {MAX_PACKING_INPUT + 1} chains exceed the packing cap " \
+        f"{MAX_PACKING_INPUT}" in capsys.readouterr().err
+
+
 def test_trace_rejects_corruption(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("")
@@ -538,10 +644,14 @@ def test_trace_numbers_physical_lines(tmp_path, capsys):
                "haps": [["gsend", 1, 9, "m", 0, 0]]}], 2),
     ([HEADER, {"kind": "round", "t": 0,
                "haps": [["grecv", 2, 1, "m", [1, 9, "m", 0, 0]]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 1, 2]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["grecv", 2, 1, "m", [1, 2, "m", 0, 0, 0]]]}], 2),
 ], ids=["header-array", "no-agents", "agents-string", "no-initials",
         "initials-string", "agent-above-n", "agent-zero", "grecv-sender",
         "agents-true", "gext-event-int", "sent-at-null", "agent-true",
-        "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent"])
+        "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent",
+        "go-extra", "gmi-extra"])
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
     p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

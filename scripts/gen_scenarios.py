@@ -11,40 +11,26 @@ import json
 import os
 import sys
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
+
+from byzlab.haps import (
+    GMI, ByzAction, ByzEvent, GExternal, GRecv, GSend, Go, Send, Sleep,
+)
+from byzlab.serial import to_json
+
+OUT = os.path.join(HERE, "..", "scenarios")
 
 
-def go(i):
-    return ["go", i]
-
-
-def sleep(i):
-    return ["sleep", i]
-
-
-def grecv(i, j, msg):
-    return ["grecv", i, j, msg, None]
-
-
-def gsend(i, j, msg, copy=0, t=None):
-    return ["gsend", i, j, msg, copy, t]
-
-
-def byz_send(i, j, msg, copy=0):
-    # performed == recorded: a plain bogus send
-    return ["byz_action", i, gsend(i, j, msg, copy), gsend(i, j, msg, copy)]
-
-
-def gext(i, e):
-    return ["gext", i, e]
+def byz_send(i, j, msg):
+    """A plain bogus send: performed == recorded, sent at the menu's t."""
+    s = GSend(i, j, msg, 0, None)
+    return ByzAction(i, s, s)
 
 
 def rule(guard, *choices):
-    return {"guard": guard, "choices": [sorted(c) for c in choices]}
-
-
-def send(j, msg):
-    return ["send", j, msg, 0]
+    return {"guard": guard,
+            "choices": [sorted(map(to_json, c)) for c in choices]}
 
 
 def trust(frm, to, msg, formula, chain=()):
@@ -59,7 +45,8 @@ def scenario(name, agents, f, horizon, menus, protocols=None, trust_table=(),
         "initial_states": initials or [["s"] * agents],
         "agent_protocols": {str(i): rs for i, rs in (protocols or {}).items()},
         "env_protocol": {"menus": [
-            {"sets": m, "close": t in close_at} for t, m in enumerate(menus)]},
+            {"sets": [list(map(to_json, S)) for S in m], "close": t in close_at}
+            for t, m in enumerate(menus)]},
         "trust_table": list(trust_table),
         "adversary": {"mode": "seeded", "seed": seed},
     }
@@ -77,12 +64,12 @@ def main():
     scenario(
         "s01_quiet", agents=3, f=0, horizon=2,
         menus=[
-            [[go(1), grecv(2, 1, "ping")], []],
-            [[go(2), grecv(1, 2, "pong")], []],
+            [[Go(1), GRecv(2, 1, "ping")], []],
+            [[Go(2), GRecv(1, 2, "pong")], []],
         ],
         protocols={
-            1: [rule(["always"], [send(2, "ping")])],
-            2: [rule(["received", 1, "ping"], [send(1, "pong")])],
+            1: [rule(["always"], [Send(2, "ping")])],
+            2: [rule(["received", 1, "ping"], [Send(1, "pong")])],
         })
 
     # Agent 2 byzantine-sends a message its table never emits; agent 1
@@ -91,7 +78,7 @@ def main():
         "s02_obvious", agents=3, f=1, horizon=2,
         menus=[
             [[byz_send(2, 1, "bogus")], []],
-            [[grecv(1, 2, "bogus")], []],
+            [[GRecv(1, 2, "bogus")], []],
         ])
 
     # A recorded-but-never-offered action lets agent 2 detect itself and
@@ -99,12 +86,12 @@ def main():
     scenario(
         "s03_self_notify", agents=3, f=1, horizon=3,
         menus=[
-            [[["byz_action", 2, None, gsend(2, 1, "ghost")]], []],
-            [[go(2)], []],
-            [[grecv(1, 2, "sorry")], []],
+            [[ByzAction(2, None, GSend(2, 1, "ghost", 0, None))], []],
+            [[Go(2)], []],
+            [[GRecv(1, 2, "sorry")], []],
         ],
         protocols={
-            2: [rule(["self_faulty"], [send(1, "sorry")])],
+            2: [rule(["self_faulty"], [Send(1, "sorry")])],
         },
         trust_table=[trust(2, 1, "sorry", "faulty(2)")])
 
@@ -113,12 +100,12 @@ def main():
         "s04_two_chains", agents=4, f=1, horizon=2,
         menus=[
             [[byz_send(4, 2, "bogus"), byz_send(4, 3, "bogus"),
-              grecv(2, 4, "bogus"), grecv(3, 4, "bogus")], []],
-            [[go(2), go(3), grecv(1, 2, "alert4"), grecv(1, 3, "alert4")], []],
+              GRecv(2, 4, "bogus"), GRecv(3, 4, "bogus")], []],
+            [[Go(2), Go(3), GRecv(1, 2, "alert4"), GRecv(1, 3, "alert4")], []],
         ],
         protocols={
-            2: [rule(["received", 4, "bogus"], [send(1, "alert4")])],
-            3: [rule(["received", 4, "bogus"], [send(1, "alert4")])],
+            2: [rule(["received", 4, "bogus"], [Send(1, "alert4")])],
+            3: [rule(["received", 4, "bogus"], [Send(1, "alert4")])],
         },
         trust_table=[trust(2, 1, "alert4", "faulty(4)"),
                      trust(3, 1, "alert4", "faulty(4)")])
@@ -127,13 +114,13 @@ def main():
     scenario(
         "s05_relay", agents=4, f=1, horizon=3,
         menus=[
-            [[byz_send(4, 2, "bogus"), grecv(2, 4, "bogus")], []],
-            [[go(2), grecv(3, 2, "a24")], []],
-            [[go(3), grecv(1, 3, "a34")], []],
+            [[byz_send(4, 2, "bogus"), GRecv(2, 4, "bogus")], []],
+            [[Go(2), GRecv(3, 2, "a24")], []],
+            [[Go(3), GRecv(1, 3, "a34")], []],
         ],
         protocols={
-            2: [rule(["received", 4, "bogus"], [send(3, "a24")])],
-            3: [rule(["received", 2, "a24"], [send(1, "a34")])],
+            2: [rule(["received", 4, "bogus"], [Send(3, "a24")])],
+            3: [rule(["received", 2, "a24"], [Send(1, "a34")])],
         },
         trust_table=[trust(2, 3, "a24", "faulty(4)"),
                      trust(3, 1, "a34", "faulty(4)", chain=(2,))])
@@ -144,7 +131,7 @@ def main():
         menus=[
             [[byz_send(2, 1, "junk2"), byz_send(3, 1, "junk3")],
              [byz_send(2, 1, "junk2")], []],
-            [[grecv(1, 2, "junk2"), grecv(1, 3, "junk3")], []],
+            [[GRecv(1, 2, "junk2"), GRecv(1, 3, "junk3")], []],
         ])
 
     # Sleep brands an agent faulty without leaving local evidence; the
@@ -152,20 +139,20 @@ def main():
     scenario(
         "s07_sleep", agents=3, f=1, horizon=2,
         menus=[
-            [[sleep(2)]],
-            [[go(1), grecv(2, 1, "hi")], []],
+            [[Sleep(2)]],
+            [[Go(1), GRecv(2, 1, "hi")], []],
         ],
-        protocols={1: [rule(["always"], [send(2, "hi")])]},
+        protocols={1: [rule(["always"], [Send(2, "hi")])]},
         close_at=(0,))
 
     # Fault-free nondeterministic delivery order; knowledge differs with it.
     scenario(
         "s08_delivery_race", agents=3, f=0, horizon=2,
         menus=[
-            [[go(1), grecv(2, 1, "m")], [go(1), grecv(3, 1, "m")], [go(1)]],
-            [[grecv(2, 1, "m"), grecv(3, 1, "m")], []],
+            [[Go(1), GRecv(2, 1, "m")], [Go(1), GRecv(3, 1, "m")], [Go(1)]],
+            [[GRecv(2, 1, "m"), GRecv(3, 1, "m")], []],
         ],
-        protocols={1: [rule(["always"], [send(2, "m"), send(3, "m")])]})
+        protocols={1: [rule(["always"], [Send(2, "m"), Send(3, "m")])]})
 
     # A fabricated delivery: agent 1 seems to receive a message 2 never
     # sent.  Branding 2 stays (vacuously) sound: the fabrication itself
@@ -173,19 +160,18 @@ def main():
     scenario(
         "s09_fake_delivery", agents=3, f=1, horizon=2,
         menus=[
-            [[["byz_event", 1, ["grecv", 1, 2, "junk2", [2, 1, "junk2", 0, 0]]]],
-             []],
-            [[], [go(3)]],
+            [[ByzEvent(1, GRecv(1, 2, "junk2", GMI(2, 1, "junk2", 0, 0)))], []],
+            [[], [Go(3)]],
         ])
 
     # A single notification chain is below the f=1 threshold: no belief.
     scenario(
         "s10_one_chain", agents=3, f=1, horizon=2,
         menus=[
-            [[byz_send(3, 2, "bogus"), grecv(2, 3, "bogus")], []],
-            [[go(2), grecv(1, 2, "alert3")], []],
+            [[byz_send(3, 2, "bogus"), GRecv(2, 3, "bogus")], []],
+            [[Go(2), GRecv(1, 2, "alert3")], []],
         ],
-        protocols={2: [rule(["received", 3, "bogus"], [send(1, "alert3")])]},
+        protocols={2: [rule(["received", 3, "bogus"], [Send(1, "alert3")])]},
         trust_table=[trust(2, 1, "alert3", "faulty(3)")])
 
     # Occurrence chains: the external event fires at 1, 2 and 3; 2 and 3
@@ -193,12 +179,12 @@ def main():
     scenario(
         "s11_occurrence", agents=3, f=1, horizon=2,
         menus=[
-            [[gext(1, "blast"), gext(2, "blast"), gext(3, "blast")], []],
-            [[go(2), go(3), grecv(1, 2, "saw2"), grecv(1, 3, "saw3")], []],
+            [[GExternal(1, "blast"), GExternal(2, "blast"), GExternal(3, "blast")], []],
+            [[Go(2), Go(3), GRecv(1, 2, "saw2"), GRecv(1, 3, "saw3")], []],
         ],
         protocols={
-            2: [rule(["observed", ["ext", "blast"]], [send(1, "saw2")])],
-            3: [rule(["observed", ["ext", "blast"]], [send(1, "saw3")])],
+            2: [rule(["observed", ["ext", "blast"]], [Send(1, "saw2")])],
+            3: [rule(["observed", ["ext", "blast"]], [Send(1, "saw3")])],
         },
         trust_table=[trust(2, 1, "saw2", "occ_c(ext(blast))"),
                      trust(3, 1, "saw3", "occ_c(ext(blast))")])
@@ -209,16 +195,16 @@ def main():
         "s12_two_provenances", agents=4, f=1, horizon=2,
         menus=[
             [[byz_send(4, 1, "bogus"), byz_send(4, 2, "bogus"),
-              byz_send(4, 3, "bogus"), grecv(2, 4, "bogus"),
-              grecv(3, 4, "bogus")], []],
-            [[go(2), go(3), grecv(1, 2, "alert4"), grecv(1, 3, "alert4"),
-              grecv(1, 4, "bogus")],
-             [go(2), go(3), grecv(1, 2, "alert4"), grecv(1, 3, "alert4")],
+              byz_send(4, 3, "bogus"), GRecv(2, 4, "bogus"),
+              GRecv(3, 4, "bogus")], []],
+            [[Go(2), Go(3), GRecv(1, 2, "alert4"), GRecv(1, 3, "alert4"),
+              GRecv(1, 4, "bogus")],
+             [Go(2), Go(3), GRecv(1, 2, "alert4"), GRecv(1, 3, "alert4")],
              []],
         ],
         protocols={
-            2: [rule(["received", 4, "bogus"], [send(1, "alert4")])],
-            3: [rule(["received", 4, "bogus"], [send(1, "alert4")])],
+            2: [rule(["received", 4, "bogus"], [Send(1, "alert4")])],
+            3: [rule(["received", 4, "bogus"], [Send(1, "alert4")])],
         },
         trust_table=[trust(2, 1, "alert4", "faulty(4)"),
                      trust(3, 1, "alert4", "faulty(4)")])
@@ -227,11 +213,11 @@ def main():
     scenario(
         "s13_group_tag", agents=3, f=0, horizon=2,
         menus=[
-            [[gext(2, "blast"), gext(3, "blast")], []],
-            [[go(2), grecv(1, 2, "wit")], []],
+            [[GExternal(2, "blast"), GExternal(3, "blast")], []],
+            [[Go(2), GRecv(1, 2, "wit")], []],
         ],
         protocols={
-            2: [rule(["observed", ["ext", "blast"]], [send(1, "wit")])],
+            2: [rule(["observed", ["ext", "blast"]], [Send(1, "wit")])],
         },
         trust_table=[trust(2, 1, "wit", "kgroup(1,ext(blast))")])
 
@@ -240,16 +226,16 @@ def main():
     scenario(
         "s14_loop_chain", agents=3, f=1, horizon=4,
         menus=[
-            [[byz_send(3, 2, "bogus"), grecv(2, 3, "bogus")], []],
-            [[go(2), grecv(1, 2, "m0")]],
-            [[go(1), grecv(2, 1, "m1")]],
-            [[go(2), grecv(1, 2, "m2")]],
+            [[byz_send(3, 2, "bogus"), GRecv(2, 3, "bogus")], []],
+            [[Go(2), GRecv(1, 2, "m0")]],
+            [[Go(1), GRecv(2, 1, "m1")]],
+            [[Go(2), GRecv(1, 2, "m2")]],
         ],
         protocols={
-            1: [rule(["received", 2, "m0"], [send(2, "m1")])],
+            1: [rule(["received", 2, "m0"], [Send(2, "m1")])],
             2: [rule(["all", ["received", 3, "bogus"],
-                      ["not", ["received", 1, "m1"]]], [send(1, "m0")]),
-                rule(["received", 1, "m1"], [send(1, "m2")])],
+                      ["not", ["received", 1, "m1"]]], [Send(1, "m0")]),
+                rule(["received", 1, "m1"], [Send(1, "m2")])],
         },
         trust_table=[trust(2, 1, "m0", "faulty(3)"),
                      trust(1, 2, "m1", "faulty(3)", chain=(2,)),
@@ -261,7 +247,7 @@ def main():
     scenario(
         "s15_stripped_send", agents=3, f=1, horizon=1,
         menus=[
-            [[byz_send(2, 1, "bogus"), grecv(1, 2, "bogus")], []],
+            [[byz_send(2, 1, "bogus"), GRecv(1, 2, "bogus")], []],
         ],
         close_at=(0,))
 

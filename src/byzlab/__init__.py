@@ -10,13 +10,12 @@ from .atoms import (
     Occurred, OccurredCorrectly, eval_atom,
 )
 from .chains import (
-    TrustTable, chains_about, extract_chains, max_disjoint, shorten_chain,
-    threshold_witness,
+    TrustTable, chains_about, extract_chains, max_disjoint, threshold_witness,
 )
 from .detect import (
     BeliefReport, DetectionInput, belief_who_is_faulty, cross_check,
     dir_notif_faulty, dir_obs_faulty, group_occurrence_belief,
-    local_knowledge, self_check_faulty,
+    self_check_faulty,
 )
 from .engine import (
     AgentContext, CapExceeded, count_choice_tree, enumerate_runs, seeded_run,
@@ -36,7 +35,8 @@ from .protocols import (
     AgentProtocol, EnvProtocol, Rule, check_closure_properties,
     check_t_coherent, close_menu,
 )
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, load_scenario
+from .serial import InputError
 from .trace import read_trace, trace_lines, write_trace
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Designated atomic propositions evaluated over run points."""
+"""Designated atomic propositions, each evaluated at one global state."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .haps import (
-    AgentId, ByzAction, ByzEvent, GExternal, GRecv, GSend, LocalHap, Run,
-    Timestamp, localize,
+    FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GlobalState, GRecv,
+    GSend, LocalHap, Timestamp, localize,
 )
 
 
@@ -66,96 +66,75 @@ class Init:
     state: str
 
 
-DesignatedAtom = (Correct, Faulty, Fake, OccurredCorrectly, Occurred,
-                  Happened, FakeHappened, Init)
+# Atoms whose `at` names a round, 1..t; any other `at` is a time, 0..t.
+ROUND_ATOMS = (Fake, OccurredCorrectly)
 
 
 class AtomTimeError(ValueError):
     """An atom's time lies outside what the point it is read at admits."""
 
 
-def _fake_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
-    # A byzantine perception reason for o in round (t-1)-and-a-half.
+# The haps that give their agent a correct, a byzantine, or any reason to
+# perceive what they localize to.
+_CORRECT, _FAKE = (GRecv, GExternal, GSend), (ByzAction, ByzEvent)
+
+
+def _reason(env: tuple, kinds, agent: AgentId, t: Timestamp,
+            o: LocalHap) -> bool:
+    # A reason of `kinds` for agent to perceive o in round (t-1)-and-a-half.
     for g in env[t - 1]:
-        if isinstance(g, (ByzAction, ByzEvent)) and g.agent == agent:
-            if localize(g) == o:
-                return True
+        if isinstance(g, kinds) and g.agent == agent and localize(g) == o:
+            return True
     return False
 
 
-def _correct_reason(env: tuple, agent: AgentId, t: Timestamp, o: LocalHap) -> bool:
-    # A correct perception reason: delivered/external event or own action.
-    for g in env[t - 1]:
-        if isinstance(g, (GRecv, GExternal, GSend)) and g.agent == agent:
-            if localize(g) == o:
-                return True
-    return False
+def eval_atom(state: GlobalState, atom) -> bool:
+    """Evaluate a designated atom at a point whose state is `state`.
 
-
-def eval_atom(run: Run, t_eval: Timestamp, atom) -> bool:
-    """Evaluate a designated atom at (run, t_eval).
-
-    Reads the state at t_eval (its environment prefix and the initial
-    states of its local histories) and, for `correct(i,t)` and
-    `faulty(i,t)`, the `faulty` summary of the run's state at t, which
-    lies on the same path from the root; so points that share a state
-    share every atom's value.  Raises AtomTimeError when t_eval or an
-    explicit time parameter is out of the admissible range.
+    Reads that one state: its time t is |env|, timed `correct(i,t')`
+    and `faulty(i,t')` scan env[:t'] for a fault event of i, and the
+    other atoms read env and the initial states of the local histories.
+    Raises AtomTimeError when an explicit time lies outside 1..t for
+    the `ROUND_ATOMS`, or outside 0..t for any other atom.
     """
-    if not 0 <= t_eval <= run.horizon:
-        raise AtomTimeError(f"point time {t_eval} outside run horizon")
-    state = run.states[t_eval]
     env = state.env
+    t = len(env)
+    at = getattr(atom, "at", None)
+    if at is not None:
+        lo = 1 if isinstance(atom, ROUND_ATOMS) else 0
+        if not lo <= at <= t:
+            raise AtomTimeError(
+                f"atom time {at} outside {lo}..{t}, the point's time")
 
     if isinstance(atom, (Correct, Faulty)):
-        t = t_eval if atom.at is None else atom.at
-        if not 0 <= t <= t_eval:
-            raise AtomTimeError(
-                f"atom time {t} exceeds the point's time {t_eval}")
-        faulty = atom.agent in run.states[t].faulty
+        faulty = atom.agent in state.faulty if at is None else any(
+            isinstance(g, FAULT_KINDS) and g.agent == atom.agent
+            for rnd in env[:at] for g in rnd)
         return faulty if isinstance(atom, Faulty) else not faulty
 
     if isinstance(atom, Fake):
-        if not 1 <= atom.at <= t_eval:
-            raise AtomTimeError(
-                f"atom time {atom.at} exceeds the point's time {t_eval}")
-        return _fake_reason(env, atom.agent, atom.at, atom.hap)
+        return _reason(env, _FAKE, atom.agent, at, atom.hap)
 
     if isinstance(atom, OccurredCorrectly):
         agents = [atom.agent] if atom.agent is not None else \
             range(1, len(state.locals) + 1)
-        if atom.at is not None:
-            if not 1 <= atom.at <= t_eval:
-                raise AtomTimeError(
-                    f"atom time {atom.at} exceeds the point's time {t_eval}")
-            times = [atom.at]
-        else:
-            times = range(1, t_eval + 1)
-        return any(_correct_reason(env, i, m, atom.hap)
+        times = [at] if at is not None else range(1, t + 1)
+        return any(_reason(env, _CORRECT, i, m, atom.hap)
                    for i in agents for m in times)
 
     if isinstance(atom, Occurred):
-        return any(
-            _correct_reason(env, atom.agent, m, atom.hap)
-            or _fake_reason(env, atom.agent, m, atom.hap)
-            for m in range(1, t_eval + 1))
+        return any(_reason(env, _CORRECT + _FAKE, atom.agent, m, atom.hap)
+                   for m in range(1, t + 1))
 
     if isinstance(atom, (Happened, FakeHappened)):
         # Per the action bullets these scan the environment history at
-        # t_eval - 1, i.e. rounds strictly before the previous timestamp.
-        if t_eval == 0:
-            return False
-        for rnd in env[:t_eval - 1]:
-            for g in rnd:
-                if isinstance(g, GSend) and g.agent == atom.agent \
-                        and not isinstance(atom, FakeHappened):
-                    if localize(g) == atom.action:
-                        return True
-                if isinstance(g, ByzAction) and g.agent == atom.agent \
-                        and g.performed is not None:
-                    if localize(g.performed) == atom.action:
-                        return True
-        return False
+        # t - 1, i.e. rounds strictly before the previous timestamp.
+        # A byzantine action counts what it performed, not what it recorded.
+        kinds = ByzAction if isinstance(atom, FakeHappened) else \
+            (ByzAction, GSend)
+        return any(isinstance(g, kinds) and g.agent == atom.agent
+                   and localize(getattr(g, "performed", g)) == atom.action
+                   for rnd in env[:t - 1] for g in rnd)
 
     if isinstance(atom, Init):
         return state.local(atom.agent).initial == atom.state

@@ -86,23 +86,6 @@ def chains_about(extracted: Extraction, phi: Formula) -> FrozenSet[Chain]:
     return frozenset()
 
 
-def shorten_chain(chain: Chain) -> Chain:
-    """Cut every loop (segment starting and ending at one agent) out.
-
-    The result is repetition-free and certifies the same belief with a
-    shorter hope nesting.
-    """
-    out = list(chain)
-    while len(set(out)) != len(out):
-        seen: Dict[AgentId, int] = {}
-        for pos, a in enumerate(out):
-            if a in seen:
-                del out[seen[a]:pos]
-                break
-            seen[a] = pos
-    return tuple(out)
-
-
 def max_disjoint(chains: FrozenSet[Chain]) -> Tuple[int, FrozenSet[Chain]]:
     """Largest set of pairwise agent-disjoint chains, exactly.
 

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .atoms import AtomTimeError
 from .chains import PackingCapExceeded
@@ -47,7 +48,10 @@ def _int_arg(raw: str, where: str, lo: int, hi=None) -> int:
 def _load(path: str) -> Scenario:
     raw = os.environ.get("BYZLAB_NODE_CAP")
     cap = None if raw is None else _int_arg(raw, "BYZLAB_NODE_CAP", 1)
-    return load_scenario(path, node_cap=cap)
+    sc = load_scenario(path)
+    if cap is not None:
+        sc = replace(sc, ctx=replace(sc.ctx, node_cap=cap))
+    return sc
 
 
 def _build_system(sc: Scenario) -> InterpretedSystem:

@@ -135,14 +135,6 @@ def cross_check(scenario, system) -> list:
     return verdicts
 
 
-def local_knowledge(h_i: LocalHistory, i: AgentId, query) -> bool:
-    """Knowledge certified by the history itself: a recorded hap, or the
-    initial state (pass the state id as a string)."""
-    if isinstance(query, str):
-        return h_i.initial == query
-    return query in h_i
-
-
 def group_occurrence_belief(h_i: LocalHistory, i: AgentId, o, k: int, f: int,
                             F: Set[AgentId], trust: TrustTable, n: int,
                             include_self: bool = False) -> bool:
@@ -150,20 +142,19 @@ def group_occurrence_belief(h_i: LocalHistory, i: AgentId, o, k: int, f: int,
 
     Fires on enough disjoint chains for the occurrence itself (k + f - |F|,
     with k lowered by one when the agent observed o locally and no chain
-    involves it), or on more than f - |F| chains for the k-group formula.
+    involves it), or on more than f - |F| chains for the k-group formula;
+    so an F larger than f needs no chain.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k + f > n:
         raise ValueError(f"need k + f <= n, got {k} + {f} > {n}")
-    if len(F) > f:
-        raise ValueError(f"|F|={len(F)} exceeds f={f}")
 
     extracted = extract_chains(h_i, i, trust)
     occ = chains_about(extracted, Atom(OccurredCorrectly(o)))
     if threshold_witness(occ, F, f, k) is not None:
         return True
-    if include_self and local_knowledge(h_i, i, o) and \
+    if include_self and o in h_i and \
             threshold_witness(occ, F, f, k - 1, avoid=(i,)) is not None:
         return True
     group = chains_about(extracted, group_occurrence_formula(n, k, o))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .atoms import (
-    Correct, Fake, FakeHappened, Faulty, Happened, Init,
+    ROUND_ATOMS, Correct, Fake, FakeHappened, Faulty, Happened, Init,
     Occurred, OccurredCorrectly,
 )
 from .haps import AgentId, External, LocalHap, Recv, Send
@@ -190,10 +190,6 @@ _KINDS = {"agent": "agent", "frm": "agent", "to": "agent", "k": "group",
 
 _HAPS = (Recv, Send, External)
 
-# Atoms whose `at` names a round, so that 0 names none.
-_ROUND_ATOMS = (Fake, OccurredCorrectly)
-
-
 def _is_hap(name: Optional[str]) -> bool:
     return name in _SIGNATURES and _SIGNATURES[name][0][0] in _HAPS
 
@@ -318,7 +314,7 @@ class _Parser:
         for build, fields in _SIGNATURES[name]:
             if len(fields) == len(args):
                 kw = {f: self.check(f, a) for f, a in zip(fields, args)}
-                if build in _ROUND_ATOMS and kw.get("at") == 0:
+                if build in ROUND_ATOMS and kw.get("at") == 0:
                     raise FormulaSyntaxError(
                         f"{name} names round 0 in {self.text!r}; "
                         "rounds start at 1")

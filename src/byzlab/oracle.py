@@ -83,10 +83,6 @@ class InterpretedSystem:
             for t in range(self.horizon + 1):
                 yield (ridx, t)
 
-    def local_at(self, p: Point, agent: AgentId) -> LocalHistory:
-        ridx, t = p
-        return self.runs[ridx].local(agent, t)
-
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
             if self._points is None:
@@ -180,7 +176,7 @@ class InterpretedSystem:
             return out
         if kind == ATOM:
             try:
-                out = eval_atom(self.runs[ridx], t, a)
+                out = eval_atom(self._states[node], a)
             except AtomTimeError as e:
                 raise AtomTimeError(f"{e} at run {ridx}, t={t}") from None
         elif kind == NOT:
@@ -212,20 +208,7 @@ class InterpretedSystem:
         pts = [self._point(p)] if p is not None else list(self.points())
         return [(q, self._value(fid, *q)) for q in pts], warning
 
-    # -- verification sweeps ------------------------------------------------
-
-    def verify_persistent(self, phi: Formula):
-        """(True, None) or (False, (run index, t, t')) with a violation."""
-        fid = self._compile(phi)
-        for ridx in range(len(self.runs)):
-            first_true = None
-            for t in range(self.horizon + 1):
-                val = self._value(fid, ridx, t)
-                if val and first_true is None:
-                    first_true = t
-                if not val and first_true is not None:
-                    return False, (ridx, first_true, t)
-        return True, None
+    # -- the trust contract ------------------------------------------------
 
     def verify_trust_table(self, trust, protocols) -> list:
         """Violations of the trustworthy-message contract, as a list of

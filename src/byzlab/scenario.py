@@ -30,7 +30,7 @@ hold sends only: a correct send comes from an agent's protocol, never
 from the environment.  A menu marked "close" is saturated so every
 agent stays fallible, correctable, delayable and gullible.
 Every agent a hap, a guard, a trust entry or an `agent_protocols` key
-names must lie in 1..n.  A value of the wrong type raises ScenarioError
+names must lie in 1..n.  A value of the wrong type raises InputError
 with its JSON path, like every other violation.
 """
 
@@ -50,8 +50,6 @@ from .serial import (
     InputError, decode, decode_haps, field, parse_json, read_text, typed,
 )
 
-ScenarioError = InputError  # `where` is a path into the JSON document
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -67,20 +65,18 @@ class Scenario:
 MAX_HORIZON = 256
 
 
-def load_scenario(path: str, name: Optional[str] = None,
-                  node_cap: Optional[int] = None) -> Scenario:
+def load_scenario(path: str, name: Optional[str] = None) -> Scenario:
     doc = parse_json(read_text(path), path)
-    return scenario_from_json(doc, name or path, node_cap)
+    return scenario_from_json(doc, name or path)
 
 
-def scenario_from_json(doc: dict, name: str,
-                       node_cap: Optional[int] = None) -> Scenario:
+def scenario_from_json(doc: dict, name: str) -> Scenario:
     typed(doc, "$", dict)
     n = field(doc, "agents", "agents", int, lo=1)
     f = field(doc, "f", "f", int, 0, 0, n)
     template = field(doc, "template", "template", str, "Bf")
     if template not in ("B", "Bf"):
-        raise ScenarioError("template", f"unknown template {template!r}")
+        raise InputError("template", f"unknown template {template!r}")
     horizon = field(doc, "horizon", "horizon", int, lo=1, hi=MAX_HORIZON)
 
     initials = []
@@ -94,8 +90,8 @@ def scenario_from_json(doc: dict, name: str,
     ids = [str(i) for i in range(1, n + 1)]
     for key in raw_prots:
         if key not in ids:
-            raise ScenarioError(f"agent_protocols.{key}",
-                                f"no such agent among 1..{n}")
+            raise InputError(f"agent_protocols.{key}",
+                             f"no such agent among 1..{n}")
     protocols = []
     for i in range(1, n + 1):
         where = f"agent_protocols.{i}"
@@ -110,8 +106,8 @@ def scenario_from_json(doc: dict, name: str,
                 choices.append(decode_haps(D, f"{rw}.choices[{m}]",
                                            "local hap", n))
                 if not all(isinstance(a, Send) for a in choices[-1]):
-                    raise ScenarioError(f"{rw}.choices[{m}]",
-                                        "choices hold sends only")
+                    raise InputError(f"{rw}.choices[{m}]",
+                                     "choices hold sends only")
             rules.append(Rule(guard, tuple(choices)))
         if not any(r.guard == ("always",) for r in rules):
             # the fallback; an agent without a table idles every round
@@ -130,11 +126,11 @@ def scenario_from_json(doc: dict, name: str,
                                     where + ".sets", list, [[]])):
             X = decode_haps(S, f"{where}.sets[{k}]", "global hap", n, t)
             if not all(is_event(g) for g in X):
-                raise ScenarioError(f"{where}.sets[{k}]",
-                                    "menus hold events only")
+                raise InputError(f"{where}.sets[{k}]",
+                                 "menus hold events only")
             if not check_t_coherent(X, t):
-                raise ScenarioError(f"{where}.sets[{k}]",
-                                    f"event set is not {t}-coherent")
+                raise InputError(f"{where}.sets[{k}]",
+                                 f"event set is not {t}-coherent")
             menu.append(X)
         if not menu:
             menu = [frozenset()]
@@ -142,7 +138,7 @@ def scenario_from_json(doc: dict, name: str,
             try:
                 menu = list(close_menu(tuple(menu), n, t, cap=menu_cap))
             except ValueError as e:
-                raise ScenarioError(where, str(e))
+                raise InputError(where, str(e))
         menus.append(tuple(menu))
     if not menus:
         menus = [(frozenset(),)]
@@ -158,24 +154,22 @@ def scenario_from_json(doc: dict, name: str,
         try:
             phi = parse_formula(text, n=n)
         except ValueError as e:
-            raise ScenarioError(where + ".formula", str(e))
+            raise InputError(where + ".formula", str(e))
         entries[key] = (phi, tuple(
             typed(a, where + ".chain", int, 1, n)
             for a in field(ed, "chain", where + ".chain", list, [])))
     try:
         trust = TrustTable(entries)
     except ValueError as e:
-        raise ScenarioError("trust_table", str(e))
+        raise InputError("trust_table", str(e))
 
     adv = field(doc, "adversary", "adversary", dict, {})
     mode = field(adv, "mode", "adversary.mode", str, "seeded")
     if mode not in ("seeded", "enumerate"):
-        raise ScenarioError("adversary.mode", f"unknown mode {mode!r}")
+        raise InputError("adversary.mode", f"unknown mode {mode!r}")
     seed = field(adv, "seed", "adversary.seed", int, 0)
-    cap = field(caps, "node_cap", "caps.node_cap", int, 10 ** 6, lo=1)
-
     ctx = AgentContext(
         n=n, env=EnvProtocol(tuple(menus)), protocols=tuple(protocols),
         initials=tuple(initials), template=template, f=f, horizon=horizon,
-        node_cap=cap if node_cap is None else node_cap)
+        node_cap=field(caps, "node_cap", "caps.node_cap", int, 10 ** 6, lo=1))
     return Scenario(name=name, ctx=ctx, trust=trust, seed=seed)

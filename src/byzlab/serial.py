@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 from .haps import (
     GMI, ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Hib,
@@ -95,13 +96,28 @@ def read_text(path: str) -> str:
 
 def parse_json(text: str, where: str):
     """The JSON value `text` holds; InputError at `where` when it is not
-    JSON or nests past the interpreter's recursion limit."""
+    JSON or nests past the interpreter's recursion limit.  The limit is
+    checked here too, since from Python 3.13 on json reads deeper."""
+    limit = sys.getrecursionlimit()
     try:
-        return json.loads(text)
+        v = json.loads(text)
+        if text.count("[") + text.count("{") > limit and \
+                _nests_past(v, limit):
+            raise RecursionError
+        return v
     except json.JSONDecodeError as e:
         raise InputError(where, f"not valid JSON ({e})") from None
     except RecursionError:
         raise InputError(where, "JSON nested too deeply to read") from None
+
+
+def _nests_past(v, limit: int) -> bool:
+    """Whether lists and objects nest in `v` more than `limit` deep."""
+    level = [v]
+    for _ in range(limit):
+        level = [x for y in level if isinstance(y, (list, dict))
+                 for x in (y.values() if isinstance(y, dict) else y)]
+    return any(isinstance(y, (list, dict)) for y in level)
 
 
 def field(doc: dict, key: str, where: str, kind: type, default=None,

@@ -26,8 +26,6 @@ from .serial import (
 
 TRACE_VERSION = 1
 
-TraceError = InputError  # `where` is `file:line`, and the key if any
-
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -58,7 +56,7 @@ def _record(at: str, line: str, kind: str) -> dict:
     """The JSON object on the line at `at`, which must be a `kind` record."""
     rec = parse_json(line, at)
     if typed(rec, at, dict).get("kind") != kind:
-        raise TraceError(at, f"expected a {kind} record")
+        raise InputError(at, f"expected a {kind} record")
     return rec
 
 
@@ -67,11 +65,11 @@ def read_trace(path: str) -> Tuple[Run, dict]:
     lines = [(no, ln) for no, ln in
              enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
-        raise TraceError(path, "empty trace")
+        raise InputError(path, "empty trace")
     at = f"{path}:{lines[0][0]}"
     header = _record(at, lines[0][1], "header")
     if field(header, "version", f"{at}: version", int) != TRACE_VERSION:
-        raise TraceError(at, f"unsupported version {header['version']!r}")
+        raise InputError(at, f"unsupported version {header['version']!r}")
     n = field(header, "agents", f"{at}: agents", int, lo=1)
     initials = [typed(s, f"{at}: initials", str) for s in
                 field(header, "initials", f"{at}: initials", list, lo=n, hi=n)]
@@ -82,7 +80,7 @@ def read_trace(path: str) -> Tuple[Run, dict]:
         at = f"{path}:{lineno}"
         rec = _record(at, line, "round")
         if field(rec, "t", f"{at}: t", int) != t:
-            raise TraceError(at, f"rounds out of order (t={rec['t']!r}, "
+            raise InputError(at, f"rounds out of order (t={rec['t']!r}, "
                              f"expected {t})")
         state = apply_round(state, decode_haps(
             rec.get("haps"), f"{at}: haps", "global hap", n))

@@ -30,6 +30,30 @@ def pairwise_disjoint(chains) -> bool:
     return True
 
 
+def shorten_chain(chain):
+    """The chain with every loop (a segment from one agent back) cut."""
+    out = list(chain)
+    while len(set(out)) != len(out):
+        seen = {}
+        for pos, a in enumerate(out):
+            if a in seen:
+                del out[seen[a]:pos]
+                break
+            seen[a] = pos
+    return tuple(out)
+
+
+def verify_persistent(system, phi):
+    """(True, None), or (False, (run, t, t')): phi holds at t, not t' > t."""
+    first_true = {}
+    for (ridx, t), v in system.check(phi)[0]:
+        if v:
+            first_true.setdefault(ridx, t)
+        elif ridx in first_true:
+            return False, (ridx, first_true[ridx], t)
+    return True, None
+
+
 @pytest.fixture(scope="session")
 def suite():
     """name -> (scenario, runs, interpreted system), built once."""

@@ -29,13 +29,13 @@ def fault_run():
 
 def test_correct_and_faulty_track_fault_events():
     r = fault_run()
-    assert eval_atom(r, 0, Correct(2))
-    assert not eval_atom(r, 1, Correct(2))
-    assert eval_atom(r, 2, Faulty(2))
-    assert eval_atom(r, 2, Correct(1))
+    assert eval_atom(r.states[0], Correct(2))
+    assert not eval_atom(r.states[1], Correct(2))
+    assert eval_atom(r.states[2], Faulty(2))
+    assert eval_atom(r.states[2], Correct(1))
     # timed variants pin the inspection point
-    assert eval_atom(r, 2, Correct(2, 0))
-    assert eval_atom(r, 2, Faulty(2, 1))
+    assert eval_atom(r.states[2], Correct(2, 0))
+    assert eval_atom(r.states[2], Faulty(2, 1))
 
 
 def test_correct_and_faulty_match_the_env_scan(suite):
@@ -45,62 +45,62 @@ def test_correct_and_faulty_match_the_env_scan(suite):
                 for i in range(1, sc.ctx.n + 1):
                     for t in range(t_eval + 1):
                         fault = has_fault_event(state.env, i, t)
-                        assert eval_atom(run, t_eval, Faulty(i, t)) == fault
-                        assert eval_atom(run, t_eval, Correct(i, t)) != fault
+                        assert eval_atom(state, Faulty(i, t)) == fault
+                        assert eval_atom(state, Correct(i, t)) != fault
                     fault = has_fault_event(state.env, i, t_eval)
-                    assert eval_atom(run, t_eval, Faulty(i)) == fault, name
-                    assert eval_atom(run, t_eval, Correct(i)) != fault, name
+                    assert eval_atom(state, Faulty(i)) == fault, name
+                    assert eval_atom(state, Correct(i)) != fault, name
 
 
 def test_atom_time_bounds_are_enforced():
     r = fault_run()
     with pytest.raises(ValueError):
-        eval_atom(r, 1, Correct(2, 2))   # future reference
+        eval_atom(r.states[1], Correct(2, 2))   # future reference
     with pytest.raises(ValueError):
-        eval_atom(r, 5, Correct(2))
+        eval_atom(r.states[2], Fake(1, 0, External("e")))  # rounds from 1
 
 
 def test_occurred_correctly_arities():
     r = fault_run()
     e = External("e")
-    assert eval_atom(r, 1, OccurredCorrectly(e))
-    assert eval_atom(r, 1, OccurredCorrectly(e, 1))
-    assert not eval_atom(r, 1, OccurredCorrectly(e, 2))
-    assert eval_atom(r, 2, OccurredCorrectly(e, 1, 1))
-    assert not eval_atom(r, 2, OccurredCorrectly(e, 1, 2))
+    assert eval_atom(r.states[1], OccurredCorrectly(e))
+    assert eval_atom(r.states[1], OccurredCorrectly(e, 1))
+    assert not eval_atom(r.states[1], OccurredCorrectly(e, 2))
+    assert eval_atom(r.states[2], OccurredCorrectly(e, 1, 1))
+    assert not eval_atom(r.states[2], OccurredCorrectly(e, 1, 2))
     with pytest.raises(ValueError):
-        eval_atom(r, 1, OccurredCorrectly(e, 1, 2))
+        eval_atom(r.states[1], OccurredCorrectly(e, 1, 2))
 
 
 def test_fake_and_occurred_on_fabricated_delivery():
     ghost = GRecv(1, 2, "junk", GSend(2, 1, "junk", 0, 0).gmi)
     r = build_run([{ByzEvent(1, ghost)}])
     o = Recv(2, "junk")
-    assert eval_atom(r, 1, Fake(1, 1, o))
-    assert eval_atom(r, 1, Occurred(o, 1))          # fake reasons count
-    assert not eval_atom(r, 1, OccurredCorrectly(o))  # but not as correct
-    assert eval_atom(r, 1, Faulty(1))
+    assert eval_atom(r.states[1], Fake(1, 1, o))
+    assert eval_atom(r.states[1], Occurred(o, 1))          # fake reasons count
+    assert not eval_atom(r.states[1], OccurredCorrectly(o))  # but not as correct
+    assert eval_atom(r.states[1], Faulty(1))
 
 
 def test_happened_lags_one_timestamp():
     r = fault_run()
     a = Send(1, "m")
     # the send lands in round 1; happened scans the env at t_eval - 1
-    assert not eval_atom(r, 2, Happened(a, 2))
+    assert not eval_atom(r.states[2], Happened(a, 2))
     r3 = build_run(list(map(set, r.states[-1].env)) + [set()])
-    assert eval_atom(r3, 3, Happened(a, 2))
+    assert eval_atom(r3.states[3], Happened(a, 2))
 
 
 def test_fhappened_only_counts_byzantine_sends():
     bogus = ByzAction(2, GSend(2, 1, "x", 0, 0), GSend(2, 1, "x", 0, 0))
     r = build_run([{bogus}, set()])
-    assert eval_atom(r, 2, FakeHappened(Send(1, "x"), 2))
-    assert eval_atom(r, 2, Happened(Send(1, "x"), 2))
+    assert eval_atom(r.states[2], FakeHappened(Send(1, "x"), 2))
+    assert eval_atom(r.states[2], Happened(Send(1, "x"), 2))
     honest = fault_run()
-    assert not eval_atom(honest, 2, FakeHappened(Send(1, "m"), 2))
+    assert not eval_atom(honest.states[2], FakeHappened(Send(1, "m"), 2))
 
 
 def test_init_reads_round_zero():
     r = fault_run()
-    assert eval_atom(r, 2, Init(1, "a"))
-    assert not eval_atom(r, 0, Init(1, "b"))
+    assert eval_atom(r.states[2], Init(1, "a"))
+    assert not eval_atom(r.states[0], Init(1, "b"))

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from byzlab.atoms import Faulty
 from byzlab.chains import (
     MAX_PACKING_INPUT, PackingCapExceeded, TrustTable, chains_about,
-    extract_chains, max_disjoint, shorten_chain, threshold_witness,
+    extract_chains, max_disjoint, threshold_witness,
 )
 from byzlab.formulas import Atom, Not
 from byzlab.haps import LocalHistory, Recv
-from tests.conftest import pairwise_disjoint
+from tests.conftest import pairwise_disjoint, shorten_chain
 
 
 def brute_force_max(chains):

@@ -8,8 +8,7 @@ from byzlab import detect
 from byzlab.chains import TrustTable, extract_chains
 from byzlab.detect import (
     DetectionInput, belief_who_is_faulty, dir_notif_faulty,
-    dir_obs_faulty, group_occurrence_belief, local_knowledge,
-    self_check_faulty,
+    dir_obs_faulty, group_occurrence_belief, self_check_faulty,
 )
 from byzlab.formulas import Atom
 from byzlab.haps import External, LocalHistory, Recv, Send
@@ -166,14 +165,6 @@ def test_fixpoint_order_invariance():
         assert belief_who_is_faulty(inp, order=order).faulty == expected
 
 
-def test_local_knowledge():
-    h = LocalHistory("boot", (frozenset({External("e")}),))
-    assert local_knowledge(h, 1, External("e"))
-    assert local_knowledge(h, 1, "boot")
-    assert not local_knowledge(h, 1, External("f"))
-    assert not local_knowledge(h, 1, "other")
-
-
 OCC_TRUST = TrustTable({
     (2, 1, "saw2"): (Atom(OccurredCorrectly(External("e"))), ()),
 })
@@ -185,8 +176,8 @@ def test_group_occurrence_guards():
         group_occurrence_belief(h, 1, External("e"), 2, 2, set(), OCC_TRUST, 3)
     with pytest.raises(ValueError):
         group_occurrence_belief(h, 1, External("e"), 0, 1, set(), OCC_TRUST, 3)
-    with pytest.raises(ValueError):
-        group_occurrence_belief(h, 1, External("e"), 1, 1, {2, 3}, OCC_TRUST, 3)
+    # |F| > f: the agent is faulty wherever it is, so any belief holds
+    assert group_occurrence_belief(h, 1, External("e"), 1, 1, {2, 3}, OCC_TRUST, 3)
 
 
 def test_group_occurrence_counts_chains():
@@ -226,11 +217,10 @@ def test_one_extraction_per_detector_call(monkeypatch, suite):
                 rep = belief_who_is_faulty(DetectionInput(
                     h, i, f, sc.ctx.protocols, sc.trust))
                 assert len(calls) == 1, (name, i, h)
-                F = rep.faulty if len(rep.faulty) <= f else set()
                 for k in range(1, n - f + 1):
                     calls.clear()
                     answered += group_occurrence_belief(
-                        h, i, External("blast"), k, f, F, sc.trust, n,
+                        h, i, External("blast"), k, f, rep.faulty, sc.trust, n,
                         include_self=True)
                     assert len(calls) == 1, (name, i, h, k)
     assert answered > 0

@@ -17,8 +17,8 @@ from byzlab.haps import (
 )
 from byzlab.oracle import InterpretedSystem
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule, check_t_coherent
-from byzlab.scenario import ScenarioError, scenario_from_json
-from byzlab.serial import to_json
+from byzlab.scenario import scenario_from_json
+from byzlab.serial import InputError, to_json
 from tests.conftest import replay_local, update_agent
 
 
@@ -512,7 +512,7 @@ def test_enumeration_matches_reference_on_random_scenarios(doc):
     try:
         ctx = scenario_from_json(doc, "random").ctx
         runs = enumerate_runs(ctx)
-    except (ScenarioError, CapExceeded):
+    except (InputError, CapExceeded):
         assume(False)
     assert [r.states for r in runs] == list(ref_runs(ctx))
     for r in runs:

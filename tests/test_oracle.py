@@ -10,7 +10,7 @@ from byzlab.formulas import (
 from byzlab.haps import External, Recv, Send
 from byzlab.oracle import InterpretedSystem
 from byzlab.serial import hap_key
-from tests.conftest import SCENARIO_NAMES, scenario_path
+from tests.conftest import SCENARIO_NAMES, scenario_path, verify_persistent
 
 
 def system(suite, name):
@@ -31,7 +31,7 @@ def test_knowledge_follows_delivery(suite):
     sysm = system(suite, "s08_delivery_race")
     phi = Know(2, Atom(Occurred(Recv(1, "m"), 2)))
     for p, v in sysm.check(phi)[0]:
-        got = Recv(1, "m") in sysm.local_at(p, 2)
+        got = Recv(1, "m") in sysm.runs[p[0]].local(2, p[1])
         assert v == got, p
 
 
@@ -97,10 +97,10 @@ def test_bare_names_are_syntax_errors(capsys):
 
 def test_verify_persistent_finds_counterexamples(suite):
     sysm = system(suite, "s02_obvious")
-    ok, _ = sysm.verify_persistent(Atom(Faulty(2)))
+    ok, _ = verify_persistent(sysm, Atom(Faulty(2)))
     assert ok
     # correct(2) starts true and is falsified by the byzantine send
-    ok, witness = sysm.verify_persistent(Atom(Correct(2)))
+    ok, witness = verify_persistent(sysm, Atom(Correct(2)))
     assert not ok and witness is not None
 
 
@@ -119,7 +119,7 @@ def test_trust_table_verification_catches_eager_senders(suite):
 class Reference:
     """The uncompiled evaluator: memo per (formula, point), belief and
     hope unfolded at every call, classes gathered through `points()` and
-    `local_at`.  Tests compare `InterpretedSystem` against it."""
+    `local`.  Tests compare `InterpretedSystem` against it."""
 
     def __init__(self, system):
         self.system = system
@@ -130,9 +130,12 @@ class Reference:
         if agent not in self.classes:
             classes = {}
             for p in self.system.points():
-                classes.setdefault(self.system.local_at(p, agent), []).append(p)
+                classes.setdefault(self.local(p, agent), []).append(p)
             self.classes[agent] = classes
         return self.classes[agent]
+
+    def local(self, p, agent):
+        return self.system.runs[p[0]].local(agent, p[1])
 
     def eval(self, p, phi):
         key = (phi, p)
@@ -143,7 +146,7 @@ class Reference:
     def _eval(self, p, phi):
         ridx, t = p
         if isinstance(phi, Atom):
-            return eval_atom(self.system.runs[ridx], t, phi.prop)
+            return eval_atom(self.system.runs[ridx].states[t], phi.prop)
         if isinstance(phi, Not):
             return not self.eval(p, phi.sub)
         if isinstance(phi, And):
@@ -154,11 +157,11 @@ class Reference:
             return (not self.eval(p, phi.left)) or self.eval(p, phi.right)
         if isinstance(phi, Know):
             return self._know(phi.agent, phi.sub,
-                              self.system.local_at(p, phi.agent))
+                              self.local(p, phi.agent))
         if isinstance(phi, Believe):
             return self._know(
                 phi.agent, Implies(Atom(Correct(phi.agent)), phi.sub),
-                self.system.local_at(p, phi.agent))
+                self.local(p, phi.agent))
         if isinstance(phi, Hope):
             return self.eval(
                 p, Implies(Atom(Correct(phi.agent)), Believe(phi.agent, phi.sub)))

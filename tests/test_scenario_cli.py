@@ -13,10 +13,9 @@ from byzlab.chains import MAX_PACKING_INPUT
 from byzlab.cli import main
 from byzlab.engine import seeded_run
 from byzlab.formulas import MAX_DEPTH
-from byzlab.scenario import (
-    MAX_HORIZON, ScenarioError, load_scenario, scenario_from_json,
-)
-from byzlab.trace import TraceError, read_trace, trace_lines
+from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
+from byzlab.serial import InputError
+from byzlab.trace import read_trace, trace_lines
 from tests.conftest import SCENARIO_NAMES, scenario_path
 
 
@@ -62,7 +61,7 @@ def test_scenario_errors_carry_locations(tmp_path):
          "agent_protocols.1[0].choices[1]"),
     ]
     for doc, needle in cases:
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(InputError) as exc:
             scenario_from_json(doc, "test")
         assert needle in str(exc.value), doc
 
@@ -224,7 +223,7 @@ def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
     with open(scenario_path("s05_relay")) as fh:
         doc = json.load(fh)
     mutate(doc)
-    with pytest.raises(ScenarioError) as exc:
+    with pytest.raises(InputError) as exc:
         scenario_from_json(doc, "relay")
     assert exc.value.where == where
     p = tmp_path / "relay.json"
@@ -247,7 +246,7 @@ def test_menu_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
 def test_bad_json_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         load_scenario(str(p))
 
 
@@ -268,7 +267,7 @@ def test_unreadable_scenario_exits_2_with_its_path(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text(_deep_guard_text(1500))
     for path, where in ((latin, f"{latin}:1"), (deep, str(deep))):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             load_scenario(str(path))
         assert err.value.where == where
         assert main(["validate", str(path)]) == 2
@@ -366,6 +365,26 @@ def test_cli_detect_checks_the_group_size(tmp_path, capsys, query):
     assert "error: --query: " in capsys.readouterr().err
     assert main(["detect", scenario_path("s01_quiet"), "--trace", str(out),
                  "--query", "e,3"]) == 0
+
+
+def test_cli_detect_query_past_the_fault_budget(tmp_path, capsys):
+    # agent 1 brands 2 and 3 on receipts they never sent, then itself, as
+    # |F| > f needs no chain; the oracle agrees at the final point
+    fake = [["byz_event", 1, ["grecv", 1, j, "bogus", None]] for j in (2, 3)]
+    scen, out = tmp_path / "bf.json", tmp_path / "run.trace"
+    scen.write_text(json.dumps(minimal_doc(
+        agents=3, f=1, initial_states=[["s"] * 3],
+        env_protocol={"menus": [{"sets": [fake]}]})))
+    assert main(["simulate", str(scen), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for k in ("1", "2"):
+        assert main(["detect", str(scen), "--trace", str(out), "--agent", "1",
+                     "--query", "e," + k]) == 0
+        entry = json.loads(capsys.readouterr().out)["agents"]["1"]
+        assert entry["faulty"] == [1, 2, 3] and entry["occurrence"][0]["believed"]
+        assert main(["check", str(scen), "--formula",
+                     f"B[1](kgroup({k},ext(e)))"]) == 0
+        assert json.loads(capsys.readouterr().out)["counterexamples"] == [[0, 0]]
 
 
 def test_cli_check_formula(capsys):
@@ -581,10 +600,10 @@ def test_detect_past_the_packing_cap_exits_3(tmp_path, capsys):
 def test_trace_rejects_corruption(tmp_path):
     p = tmp_path / "t.trace"
     p.write_text("")
-    with pytest.raises(TraceError):
+    with pytest.raises(InputError):
         read_trace(str(p))
     p.write_text('{"kind":"round","t":0,"haps":[]}\n')
-    with pytest.raises(TraceError):
+    with pytest.raises(InputError):
         read_trace(str(p))
 
 
@@ -601,7 +620,7 @@ def test_unreadable_trace_exits_2_with_its_line(tmp_path, capsys):
     deep.write_bytes(head + b'{"kind":"round","t":0,"haps":'
                      + b"[" * 1500 + b"]" * 1500 + b"}\n")
     for path in (latin, deep):
-        with pytest.raises(TraceError) as err:
+        with pytest.raises(InputError) as err:
             read_trace(str(path))
         assert err.value.where == f"{path}:2"
         assert main(["detect", scenario_path("s01_quiet"),
@@ -615,7 +634,7 @@ def test_trace_numbers_physical_lines(tmp_path, capsys):
     lines[2] = json.dumps({"kind": "round", "t": 1, "haps": [["go", 9]]})
     p = tmp_path / "blank.trace"
     p.write_text(lines[0] + "\n\n" + "\n".join(lines[1:]) + "\n")
-    with pytest.raises(TraceError, match=":4: haps: "):
+    with pytest.raises(InputError, match=":4: haps: "):
         read_trace(str(p))
     assert main(["detect", scenario_path("s01_quiet"), "--trace", str(p)]) == 2
     assert f"error: {p}:4: haps: " in capsys.readouterr().err
@@ -655,7 +674,7 @@ def test_trace_numbers_physical_lines(tmp_path, capsys):
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
     p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
-    with pytest.raises(TraceError, match=f":{lineno}: "):
+    with pytest.raises(InputError, match=f":{lineno}: "):
         read_trace(str(p))
     assert main(["detect", scenario_path("s01_quiet"),
                  "--trace", str(p)]) == 2
@@ -713,7 +732,7 @@ def test_fuzzed_scenario_loads_or_raises_scenario_error(name, data):
     path = data.draw(st.sampled_from(list(_paths(doc))))
     try:
         scenario_from_json(_replaced(doc, path, data.draw), name)
-    except ScenarioError:
+    except InputError:
         pass
 
 
@@ -741,5 +760,5 @@ def test_fuzzed_trace_reads_or_raises_trace_error(tmp_path, name, data):
                          for rec in _replaced(records, path, data.draw)))
     try:
         read_trace(str(p))
-    except TraceError:
+    except InputError:
         pass

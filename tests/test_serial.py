@@ -9,7 +9,7 @@ from byzlab.haps import (
     Send, Sleep, fail,
 )
 from byzlab.scenario import load_scenario
-from byzlab.serial import FORMS, InputError, decode, hap_key, to_json
+from byzlab.serial import FORMS, InputError, decode, hap_key, parse_json, to_json
 from byzlab.trace import trace_lines
 from tests.conftest import SCENARIO_NAMES, scenario_path
 
@@ -170,3 +170,10 @@ def test_trace_bytes_are_pinned():
                            trace_lines(seeded_run(ctx, seed), name, seed))
             assert hashlib.sha256(text.encode()).hexdigest() == want, \
                 (name, seed)
+
+
+def test_json_nesting_is_bounded_on_every_python():
+    # 1,100 deep is past the recursion limit; 2,001 brackets 2 deep are not
+    assert len(parse_json("[" + ",".join(["[]"] * 2000) + "]", "w")) == 2000
+    with pytest.raises(InputError, match="w: JSON nested too deeply"):
+        parse_json("[" * 1100 + "]" * 1100, "w")

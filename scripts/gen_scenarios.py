@@ -15,7 +15,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from byzlab.haps import (
-    GMI, ByzAction, ByzEvent, GExternal, GRecv, GSend, Go, Send, Sleep,
+    ByzAction, ByzEvent, GExternal, GRecv, GSend, Go, Send, Sleep,
 )
 from byzlab.serial import to_json
 
@@ -48,7 +48,7 @@ def scenario(name, agents, f, horizon, menus, protocols=None, trust_table=(),
             {"sets": [list(map(to_json, S)) for S in m], "close": t in close_at}
             for t, m in enumerate(menus)]},
         "trust_table": list(trust_table),
-        "adversary": {"mode": "seeded", "seed": seed},
+        "adversary": {"seed": seed},
     }
     path = os.path.join(OUT, name + ".json")
     with open(path, "w") as fh:
@@ -160,7 +160,8 @@ def main():
     scenario(
         "s09_fake_delivery", agents=3, f=1, horizon=2,
         menus=[
-            [[ByzEvent(1, GRecv(1, 2, "junk2", GMI(2, 1, "junk2", 0, 0)))], []],
+            [[ByzEvent(1, GRecv(1, 2, "junk2",
+                                GSend(2, 1, "junk2", 0, 0)))], []],
             [[], [Go(3)]],
         ])
 

@@ -27,8 +27,8 @@ from .formulas import (
     parse_formula, unparse,
 )
 from .haps import (
-    ByzAction, ByzEvent, External, GExternal, GMI, GRecv, GSend, GlobalState,
-    Go, Hib, LocalHistory, Recv, Run, Send, Sleep, fail, initial_state,
+    ByzAction, ByzEvent, External, GExternal, GRecv, GSend, GlobalState, Go,
+    Hib, LocalHistory, Recv, Run, Send, Sleep, fail, initial_state,
 )
 from .oracle import InterpretedSystem
 from .protocols import (

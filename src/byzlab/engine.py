@@ -63,7 +63,7 @@ def filter_env_B(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
     unsent = [g for g in X_eps if isinstance(g, GRecv) and g.gmi not in state.sent]
     if not unsent:
         return X_eps
-    issued = {s.gmi for s in _sends_in_round(X_eps, alphas)}
+    issued = set(_sends_in_round(X_eps, alphas))
     return X_eps.difference(g for g in unsent if g.gmi not in issued)
 
 
@@ -88,7 +88,7 @@ def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
 # Delivery template materialization
 
 def _materialize(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
-    """Resolve GMI-less delivery templates against actual sends.
+    """Resolve send-less delivery templates against actual sends.
 
     A template grecv(i, j, mu) binds to the earliest matching send not yet
     delivered to i, falling back to the earliest matching send at all.
@@ -98,13 +98,13 @@ def _materialize(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
     if not templates:
         return X_eps
     candidates = sorted(
-        state.sent.union(s.gmi for s in _sends_in_round(X_eps, alphas)),
-        key=lambda m: (m.sent_at, m.copy, m.sender, m.receiver, m.msg))
+        state.sent.union(_sends_in_round(X_eps, alphas)),
+        key=lambda s: (s.sent_at, s.copy, s.agent, s.to, s.msg))
     out = set(X_eps.difference(templates))
     for g in templates:
-        matches = [m for m in candidates
-                   if m.sender == g.frm and m.receiver == g.agent and m.msg == g.msg]
-        fresh = [m for m in matches if m not in state.delivered]
+        matches = [s for s in candidates
+                   if s.agent == g.frm and s.to == g.agent and s.msg == g.msg]
+        fresh = [s for s in matches if s not in state.delivered]
         pick = (fresh or matches or [None])[0]
         out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick))
     return frozenset(out)
@@ -123,7 +123,7 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
             if frozenset(agent_choices[i - 1]) not in ctx.protocol(i)(state.local(i)):
                 raise ValueError(f"agent {i} choice outside protocol range")
 
-    # Labeling: local actions to global format with GMIs.
+    # Labeling: local actions to global format, each send its own identifier.
     alphas = [frozenset(globalize(i, t, a) for a in X) if X else frozenset()
               for i, X in enumerate(agent_choices, start=1)]
     alpha_eps = _materialize(state, env_choice, alphas)

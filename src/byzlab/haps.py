@@ -2,8 +2,10 @@
 
 Local haps are what an agent records; global haps are the environment's
 bookkeeping format, which additionally carries timestamps, message
-identifiers and correct/byzantine tags.  All values here are immutable
-and hashable, so they can be shared freely between enumeration workers.
+identifiers and correct/byzantine tags.  A send is its own global
+message identifier (GMI), which a delivery names, and a byzantine hap
+acts as its own agent.  All values here are immutable and hashable, so
+they can be shared freely between enumeration workers.
 """
 
 from __future__ import annotations
@@ -14,20 +16,6 @@ from typing import Optional, Union
 
 AgentId = int
 Timestamp = int
-
-
-# ---------------------------------------------------------------------------
-# Message identifiers
-
-@dataclass(frozen=True, order=True, slots=True)
-class GMI:
-    """Global message identifier: the injective 5-tuple tag of a send."""
-
-    sender: AgentId
-    receiver: AgentId
-    msg: str
-    copy: int
-    sent_at: Timestamp
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +47,7 @@ LocalHap = Union[Send, Recv, External]
 
 @dataclass(frozen=True, order=True, slots=True)
 class GSend:
-    """Correct send action of `agent`, tagged with its GMI fields."""
+    """A send of `agent`; its fields are its global message identifier."""
 
     agent: AgentId
     to: AgentId
@@ -67,24 +55,20 @@ class GSend:
     copy: int
     sent_at: Timestamp
 
-    @property
-    def gmi(self) -> GMI:
-        return GMI(self.agent, self.to, self.msg, self.copy, self.sent_at)
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class GRecv:
     """Correct delivery to `agent` of a message sent by `frm`.
 
-    `gmi` is None for an unresolved delivery template in an environment
-    menu; the engine materializes templates against actual sends before
-    filtering.
+    `gmi` is the `GSend` delivered, or None for an unresolved delivery
+    template in an environment menu; the engine materializes templates
+    against actual sends before filtering.
     """
 
     agent: AgentId
     frm: AgentId
     msg: str
-    gmi: Optional[GMI] = None
+    gmi: Optional[GSend] = None
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -105,6 +89,9 @@ class ByzAction:
     performed: Optional[GSend] = None
     recorded: Optional[GSend] = None
 
+    def __post_init__(self):
+        _own(self, self.performed, self.recorded)
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class ByzEvent:
@@ -112,6 +99,16 @@ class ByzEvent:
 
     agent: AgentId
     event: Union[GRecv, GExternal] = None
+
+    def __post_init__(self):
+        _own(self, self.event)
+
+
+def _own(g, *haps) -> None:
+    """ValueError unless each of `haps` is None or of `g`'s agent."""
+    for h in haps:
+        if h is not None and h.agent != g.agent:
+            raise ValueError(f"{g!r} holds another agent's hap")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -201,8 +198,8 @@ class LocalHistory:
 @dataclass(frozen=True, slots=True)
 class GlobalState:
     """(environment history, n local histories); |env| is the global time.
-    `sent` holds the GMIs of every send in env, `delivered` those of its
-    correct deliveries and `faulty` the agents with a fault event in it;
+    `sent` holds the record's sends, `delivered` those its correct
+    deliveries name and `faulty` the agents with a fault event in it;
     they spare a step the rescan of env and take no part in equality."""
 
     env: tuple  # tuple of frozensets of GlobalHap, oldest-first
@@ -259,14 +256,14 @@ def apply_round(state: GlobalState, rnd: frozenset) -> GlobalState:
     for g in rnd:
         if isinstance(g, GSend):
             did[g.agent].add(Send(g.to, g.msg, g.copy))
-            sent.add(g.gmi)
+            sent.add(g)
             continue
         if isinstance(g, GRecv) and g.gmi is not None:
             delivered.add(g.gmi)
         elif isinstance(g, FAULT_KINDS):
             faulty.add(g.agent)
             if isinstance(g, ByzAction) and g.performed is not None:
-                sent.add(g.performed.gmi)
+                sent.add(g.performed)
         loc = localize(g)
         if loc is not None:
             heard[g.agent].add(loc)

@@ -14,9 +14,8 @@ each of its sets: `close_menu` saturates a base menu under them and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from .haps import (
     FAULT_KINDS, AgentId, ByzAction, ByzEvent, GExternal, GRecv, Go, Hib,
@@ -165,37 +164,31 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
     return True
 
 
-def _subsets(items: tuple):
+def _subsets(items: frozenset):
     """Every subset of `items`, made as it is read."""
     for mask in range(1 << len(items)):
         yield frozenset(g for k, g in enumerate(items) if mask >> k & 1)
 
 
-def _fault_subsets(menu, n: AgentId) -> Dict[AgentId, Iterator]:
-    """Each agent's subsets of its fault alphabet over the menu, made
-    lazily; `_closure_moves` reads them through `itertools.tee`, so each
-    is made once however many sets read it."""
-    return {i: _subsets(tuple(alpha))
-            for i, alpha in fault_alphabet(menu, n).items()}
-
-
-def _closure_moves(X: frozenset, fault_subsets: Dict[AgentId, Iterator],
-                   found=()):
+def _closure_moves(X: frozenset, alphabet: Dict[AgentId, frozenset],
+                   joined: set, found=()):
     """(agent i, property, set) for each move a closed menu must admit
     from X: fallible adds fail(i), correctable drops i's fault events,
-    delayable drops all of i's events and gullible joins that last set
-    with each subset of i's fault alphabet.  The gullible moves are made
+    delayable drops all of i's events and gullible joins that remainder
+    with each subset of i's fault alphabet.  Those depend on X only via
+    the remainder, so they are made once per (i, remainder) in `joined`,
     as they are read, and no more once (i, "gullible") is in `found`."""
-    for i in fault_subsets:
+    for i, alpha in alphabet.items():
         yield i, "fallible", X | {fail(i)}
         yield i, "correctable", X - frozenset(
             g for g in X if g.agent == i and isinstance(g, FAULT_KINDS))
         stripped = X - frozenset(g for g in X if g.agent == i)
         yield i, "delayable", stripped
-        fault_subsets[i], subsets = itertools.tee(fault_subsets[i])
-        gullible = i, "gullible"
-        for Y in subsets:
-            if gullible in found:
+        if (i, stripped) in joined:
+            continue
+        joined.add((i, stripped))
+        for Y in _subsets(alpha):
+            if (i, "gullible") in found:
                 break
             yield i, "gullible", stripped | Y
 
@@ -207,7 +200,7 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     holds more than `cap` sets.
     """
     too_many = f"menu closure at t={t} exceeds cap {cap}"
-    subsets = _fault_subsets(base, n)
+    alphabet, joined = fault_alphabet(base, n), set()
     seen = {frozenset(X) for X in base}
     if len(seen) > cap:
         raise ValueError(too_many)
@@ -215,7 +208,7 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     while frontier:
         new = []
         for X in frontier:
-            for _, _, C in _closure_moves(X, subsets):
+            for _, _, C in _closure_moves(X, alphabet, joined):
                 if C not in seen and check_t_coherent(C, t):
                     seen.add(C)
                     new.append(C)
@@ -231,10 +224,10 @@ def check_closure_properties(ctx) -> Dict[AgentId, Dict[str, bool]]:
     The moves of a property already found false are not tested."""
     found = set()  # (agent, property) pairs found false
     for t in range(ctx.horizon):
-        menu = set(ctx.env(t))
-        subsets = _fault_subsets(menu, ctx.n)
+        menu, joined = set(ctx.env(t)), set()
+        alphabet = fault_alphabet(menu, ctx.n)
         for X in menu:
-            for i, prop, C in _closure_moves(X, subsets, found):
+            for i, prop, C in _closure_moves(X, alphabet, joined, found):
                 if (i, prop) not in found and C not in menu \
                         and check_t_coherent(C, t):
                     found.add((i, prop))

@@ -18,9 +18,9 @@ required:
                        "close": bool (default false)}}   (default {})
     trust_table      list (default []) of {"from": agent, "to": agent,
                      "msg": str, "formula": str, "chain": list of agents
-                     (default [])}
-    adversary        {"mode": "seeded" | "enumerate" (default "seeded"),
-                      "seed": int (default 0)}   (default {})
+                     (default [])}, at most one per (from, to, msg)
+    adversary        {"seed": int (default 0)}   (default {}), the seed
+                     of `byzlab simulate` without --seed
     caps             {"node_cap": int >= 1 (default 1000000),
                       "menu_cap": int >= 1 (default 4096)}   (default {})
 
@@ -150,6 +150,8 @@ def scenario_from_json(doc: dict, name: str) -> Scenario:
         key = (typed(ed.get("from"), where + ".from", int, 1, n),
                typed(ed.get("to"), where + ".to", int, 1, n),
                field(ed, "msg", where + ".msg", str))
+        if key in entries:
+            raise InputError(where, f"repeats the (from, to, msg) {key}")
         text = field(ed, "formula", where + ".formula", str)
         try:
             phi = parse_formula(text, n=n)
@@ -164,9 +166,6 @@ def scenario_from_json(doc: dict, name: str) -> Scenario:
         raise InputError("trust_table", str(e))
 
     adv = field(doc, "adversary", "adversary", dict, {})
-    mode = field(adv, "mode", "adversary.mode", str, "seeded")
-    if mode not in ("seeded", "enumerate"):
-        raise InputError("adversary.mode", f"unknown mode {mode!r}")
     seed = field(adv, "seed", "adversary.seed", int, 0)
     ctx = AgentContext(
         n=n, env=EnvProtocol(tuple(menus)), protocols=tuple(protocols),

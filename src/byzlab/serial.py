@@ -6,10 +6,11 @@ scenario files and traces.
 null) may be left off the end; `time`, a gsend's sent_at, may be null
 in a menu for the menu's timestamp; the other kinds nest a form, and
 `...` repeats the kind before it.  A form is the JSON array of its name
-and exactly its arguments; a GMI is the bare array of its arguments.
-`to_json` writes a hap or GMI, `decode` and `decode_haps` read forms
-back, checking every argument and their count, and `hap_key`, a hap's
-compact JSON text, orders hap sets, so equal sets give identical text.
+and exactly its arguments; a grecv names the `GSend` it delivers, its
+GMI, by the bare array of the send's arguments.  `to_json` writes a
+hap, `decode` and `decode_haps` read forms back, checking every
+argument and their count, and `hap_key`, a hap's compact JSON text,
+orders hap sets, so equal sets give identical text.
 
 Scenario files and traces are read through `read_text` and
 `parse_json`, and every check of a JSON value read from them goes
@@ -24,8 +25,8 @@ import json
 import sys
 
 from .haps import (
-    GMI, ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Hib,
-    Recv, Send, Sleep, fail,
+    ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Hib, Recv,
+    Send, Sleep, fail,
 )
 
 # family -> form name -> (builder, argument kinds in JSON order); a
@@ -42,7 +43,7 @@ FORMS = {
         "byz_event": (ByzEvent, ("agent", "grecv or gext")),
         "fail": (fail, ("agent",)), "go": (Go, ("agent",)),
         "sleep": (Sleep, ("agent",)), "hib": (Hib, ("agent",))},
-    "GMI": {"": (GMI, ("agent", "agent", "string", "integer", "integer"))},
+    "GMI": {"": (GSend, ("agent", "agent", "string", "integer", "integer"))},
     "guard": {"always": (None, ()), "self_faulty": (None, ()),
               "received": (None, ("agent", "string")),
               "sent": (None, ("agent", "string")),
@@ -204,21 +205,23 @@ def decode_haps(v, where: str, family: str, n: int, t=None) -> frozenset:
                      for h in typed(v, where, list))
 
 
-# hap or GMI type -> (form name, its fields in JSON order); `fail` is
-# the ByzAction without sides
+# hap type -> (form name, its fields in JSON order); `fail` is the
+# ByzAction without sides
 _WRITERS = {build: (name, build.__slots__[:len(kinds)])
             for forms in FORMS.values() for name, (build, kinds) in forms.items()
-            if isinstance(build, type)}
+            if isinstance(build, type) and name}
 
 
 def to_json(h) -> list:
-    """The canonical JSON form of a hap or a GMI."""
+    """The canonical JSON form of a hap."""
     name, fields = _WRITERS[type(h)]
     if name == "byz_action" and h.performed is h.recorded is None:
         name, fields = "fail", fields[:1]
     args = [to_json(a) if type(a) in _WRITERS else a
             for a in map(getattr, itertools.repeat(h), fields)]
-    return [name, *args] if name else args
+    if name == "grecv" and h.gmi is not None:
+        args[3] = args[3][1:]  # the GMI: the send's bare array
+    return [name, *args]
 
 
 _key = json.JSONEncoder(separators=(",", ":")).encode  # compact JSON text

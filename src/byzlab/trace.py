@@ -9,8 +9,10 @@ A trace is one header line followed by one line per round:
 
 Each round line carries the environment's verbatim record of the round
 (events plus every agent's performed actions); local histories are
-reconstructed from it on load.  Serialization is canonical, so the same
-run always produces byte-identical text.
+reconstructed from it on load.  A delivery must name a send of the
+record so far or one stamped with its own round (the action filter may
+drop a send the causality filter let a delivery name).  Serialization
+is canonical, so the same run always produces byte-identical text.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-from .haps import Run, apply_round, initial_state
+from .haps import GRecv, Run, apply_round, initial_state
 from .serial import (
     InputError, decode_haps, field, hapset_to_json, parse_json, read_text,
-    typed,
+    to_json, typed,
 )
 
 TRACE_VERSION = 1
@@ -82,7 +84,12 @@ def read_trace(path: str) -> Tuple[Run, dict]:
         if field(rec, "t", f"{at}: t", int) != t:
             raise InputError(at, f"rounds out of order (t={rec['t']!r}, "
                              f"expected {t})")
-        state = apply_round(state, decode_haps(
-            rec.get("haps"), f"{at}: haps", "global hap", n))
+        haps = decode_haps(rec.get("haps"), f"{at}: haps", "global hap", n)
+        state = apply_round(state, haps)
+        for g in haps:
+            if isinstance(g, GRecv) and (g.gmi is None or g.gmi not in
+                                         state.sent and g.gmi.sent_at != t):
+                raise InputError(f"{at}: haps",
+                                 f"{_dumps(to_json(g))} names no send")
         states.append(state)
     return Run(tuple(states)), header

@@ -23,7 +23,7 @@ def fault_run():
     s = GSend(2, 1, "m", 0, 1)
     return build_run([
         {fail(2), GExternal(1, "e")},
-        {s, Go(2), GRecv(1, 2, "m", s.gmi)},
+        {s, Go(2), GRecv(1, 2, "m", s)},
     ])
 
 
@@ -73,7 +73,7 @@ def test_occurred_correctly_arities():
 
 
 def test_fake_and_occurred_on_fabricated_delivery():
-    ghost = GRecv(1, 2, "junk", GSend(2, 1, "junk", 0, 0).gmi)
+    ghost = GRecv(1, 2, "junk", GSend(2, 1, "junk", 0, 0))
     r = build_run([{ByzEvent(1, ghost)}])
     o = Recv(2, "junk")
     assert eval_atom(r.states[1], Fake(1, 1, o))

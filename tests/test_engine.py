@@ -17,9 +17,12 @@ from byzlab.haps import (
 )
 from byzlab.oracle import InterpretedSystem
 from byzlab.protocols import AgentProtocol, EnvProtocol, Rule, check_t_coherent
-from byzlab.scenario import scenario_from_json
-from byzlab.serial import InputError, to_json
-from tests.conftest import replay_local, update_agent
+from byzlab.scenario import load_scenario, scenario_from_json
+from byzlab.serial import InputError, decode, to_json
+from byzlab.trace import read_trace, write_trace
+from tests.conftest import (
+    SCENARIO_NAMES, replay_local, scenario_path, update_agent,
+)
 
 
 def proto(i, *rules):
@@ -61,8 +64,8 @@ def test_coherence_external_vs_fake_external():
 
 def test_coherence_real_and_fake_delivery_conflict():
     s = GSend(2, 1, "m", 0, 0)
-    real = GRecv(1, 2, "m", s.gmi)
-    faked = ByzEvent(1, GRecv(1, 2, "m", s.gmi))
+    real = GRecv(1, 2, "m", s)
+    faked = ByzEvent(1, GRecv(1, 2, "m", s))
     assert not check_t_coherent(frozenset({real, faked}), 1)
 
 
@@ -70,7 +73,7 @@ def test_coherence_real_and_fake_delivery_conflict():
 
 def test_causality_filter_drops_unsent_delivery():
     state = initial_state(("a", "b"))
-    ghost = GRecv(1, 2, "zzz", GSend(2, 1, "zzz", 0, 0).gmi)
+    ghost = GRecv(1, 2, "zzz", GSend(2, 1, "zzz", 0, 0))
     out = filter_env_B(state, frozenset({ghost, Go(1)}), [frozenset()] * 2)
     assert out == frozenset({Go(1)})
 
@@ -78,7 +81,7 @@ def test_causality_filter_drops_unsent_delivery():
 def test_causality_filter_keeps_same_round_send():
     state = initial_state(("a", "b"))
     s = GSend(1, 2, "m", 0, 0)
-    d = GRecv(2, 1, "m", s.gmi)
+    d = GRecv(2, 1, "m", s)
     out = filter_env_B(state, frozenset({d}), [frozenset({s}), frozenset()])
     assert d in out
 
@@ -95,7 +98,7 @@ def test_budget_filter_strips_excess_faults():
 def test_budget_filter_drops_delivery_of_stripped_send():
     state = initial_state(("a", "b", "c"))
     bogus = GSend(2, 1, "x", 0, 0)
-    d = GRecv(1, 2, "x", bogus.gmi)
+    d = GRecv(1, 2, "x", bogus)
     X = frozenset({ByzAction(2, bogus, bogus), d, fail(3)})
     assert filter_env_Bf(state, X, [frozenset()] * 3, f=1) == frozenset()
     assert filter_env_Bf(state, X - {fail(3)}, [frozenset()] * 3, f=1) \
@@ -273,7 +276,7 @@ def ref_sends(rounds):
 
 
 def ref_filter_B(state, X_eps, alphas):
-    issued = {s.gmi for s in ref_sends(state.env + tuple(alphas) + (X_eps,))}
+    issued = set(ref_sends(state.env + tuple(alphas) + (X_eps,)))
     return frozenset(g for g in X_eps if not isinstance(g, GRecv) or g.gmi in issued)
 
 
@@ -297,9 +300,9 @@ def ref_materialize(state, X_eps, alphas):
         if isinstance(g, GRecv) and g.gmi is None:
             matches = [s for s in candidates
                        if s.agent == g.frm and s.to == g.agent and s.msg == g.msg]
-            fresh = [s for s in matches if s.gmi not in delivered]
+            fresh = [s for s in matches if s not in delivered]
             pick = (fresh or matches or [None])[0]
-            out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick.gmi))
+            out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick))
         else:
             out.add(g)
     return frozenset(out)
@@ -355,7 +358,7 @@ def ref_seeded_run(ctx, seed):
 
 
 def assert_summaries_fold_env(state):
-    assert state.sent == {s.gmi for s in ref_sends(state.env)}
+    assert state.sent == set(ref_sends(state.env))
     assert state.delivered == {g.gmi for rnd in state.env for g in rnd
                                if isinstance(g, GRecv) and g.gmi is not None}
     assert state.faulty == {g.agent for rnd in state.env for g in rnd
@@ -373,6 +376,24 @@ def test_step_matches_rescanning_reference(suite):
             assert run.states == ref_seeded_run(sc.ctx, seed), (name, seed)
             for state in run.states:
                 assert_summaries_fold_env(state)
+
+
+def test_a_send_is_its_own_message_identifier(tmp_path):
+    # `sent` holds the record's own GSend objects, after `step` and after
+    # `read_trace`, and a delivery names a GSend
+    sends = 0
+    for name in SCENARIO_NAMES:
+        run = seeded_run(load_scenario(scenario_path(name)).ctx, 0)
+        path = str(tmp_path / "run.trace")
+        write_trace(path, run, name, 0)
+        for r in (run, read_trace(path)[0]):
+            for state in r.states:
+                record = list(ref_sends(state.env))
+                assert all(any(s is x for x in record) for s in state.sent)
+                sends += len(state.sent)
+    assert sends
+    g = decode(["grecv", 1, 2, "m", [2, 1, "m", 0, 0]], "hap", "global hap", 2)
+    assert type(g.gmi) is GSend and g.gmi == GSend(2, 1, "m", 0, 0)
 
 
 def tree_edges(ctx):

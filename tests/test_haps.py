@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from byzlab.haps import (
-    GMI, External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send,
-    Sleep, apply_round, fail, globalize, initial_state, localize,
+    External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send, Sleep,
+    apply_round, fail, globalize, initial_state, localize,
 )
 from tests.conftest import perceived, replay_local, update_agent
 
@@ -11,24 +11,25 @@ agents = st.integers(min_value=1, max_value=5)
 msgs = st.text(alphabet="abc", min_size=1, max_size=3)
 
 
+# a send is its own global message identifier (GMI)
+
 @given(agents, agents, msgs, st.integers(0, 3), st.integers(0, 4))
 def test_gmi_roundtrip(i, j, mu, copy, t):
-    gmi = GMI(i, j, mu, copy, t)
-    assert (gmi.sender, gmi.receiver, gmi.msg, gmi.copy, gmi.sent_at) \
-        == (i, j, mu, copy, t)
+    s = GSend(i, j, mu, copy, t)
+    assert (s.agent, s.to, s.msg, s.copy, s.sent_at) == (i, j, mu, copy, t)
 
 
 @given(agents, agents, msgs, st.integers(0, 3), st.integers(0, 4),
        agents, agents, msgs, st.integers(0, 3), st.integers(0, 4))
 def test_gmi_injective(i1, j1, m1, c1, t1, i2, j2, m2, c2, t2):
     same = (i1, j1, m1, c1, t1) == (i2, j2, m2, c2, t2)
-    assert (GMI(i1, j1, m1, c1, t1) == GMI(i2, j2, m2, c2, t2)) == same
+    assert (GSend(i1, j1, m1, c1, t1) == GSend(i2, j2, m2, c2, t2)) == same
 
 
 def test_localize_strips_global_detail():
     s = GSend(1, 2, "m", 0, 3)
     assert localize(s) == Send(2, "m")
-    d = GRecv(2, 1, "m", s.gmi)
+    d = GRecv(2, 1, "m", s)
     assert localize(d) == Recv(1, "m")
     assert localize(GExternal(3, "quake")) == External("quake")
     # system events leave no local record
@@ -75,7 +76,7 @@ def test_replay_matches_incremental_update():
     s = GSend(1, 2, "m", 0, 0)
     rounds = [
         frozenset({Go(1), s}),
-        frozenset({Go(2), GRecv(2, 1, "m", s.gmi)}),
+        frozenset({Go(2), GRecv(2, 1, "m", s)}),
     ]
     state = initial_state(("a", "b"))
     for rnd in rounds:

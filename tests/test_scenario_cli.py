@@ -50,7 +50,6 @@ def test_scenario_errors_carry_locations(tmp_path):
                                    "formula": "!!bad("}]), "formula"),
         (minimal_doc(trust_table=[{"from": 1, "to": 2, "msg": "m",
                                    "formula": "correct(1)"}]), "trust_table"),
-        (minimal_doc(adversary={"mode": "psychic"}), "adversary.mode"),
         # a correct send comes from a protocol, never from a menu
         (minimal_doc(env_protocol={"menus": [
             {"sets": [[["go", 1], ["gsend", 1, 2, "m", 0, None]]]}]}),
@@ -207,6 +206,21 @@ _GUARD = ("agent_protocols", "2", 0, "guard")
     (_put("env_protocol", "menus", 1, "sets", 0, 1,
           value=["grecv", 3, 2, "a24", None, None]),
      "env_protocol.menus[1].sets[0]"),
+    # a byzantine hap acts as its own agent
+    (_put("env_protocol", "menus", 0, "sets", 0, 0, value=[
+        "byz_action", 4, ["gsend", 1, 2, "bogus", 0, None], None]),
+     "env_protocol.menus[0].sets[0]"),
+    (_put("env_protocol", "menus", 0, "sets", 0, 0, value=[
+        "byz_action", 4, None, ["gsend", 1, 2, "bogus", 0, None]]),
+     "env_protocol.menus[0].sets[0]"),
+    (_put("env_protocol", "menus", 1, "sets", 1,
+          value=[["byz_event", 3, ["grecv", 2, 1, "a24", None]]]),
+     "env_protocol.menus[1].sets[1]"),
+    (_put("env_protocol", "menus", 1, "sets", 1,
+          value=[["byz_event", 3, ["gext", 1, "e"]]]),
+     "env_protocol.menus[1].sets[1]"),
+    (lambda doc: doc["trust_table"].append(
+        dict(doc["trust_table"][0], formula="faulty(1)")), "trust_table[2]"),
 ], ids=["choice-kind", "choice-agent", "observed-agent", "received-agent",
         "sent-agent", "menu-agent", "menu-hap-object", "protocols-list", "guard-arity",
         "trust-formula", "byz-action-sender", "byz-action-go",
@@ -217,7 +231,9 @@ _GUARD = ("agent_protocols", "2", 0, "guard")
         "initial-list", "received-msg-int", "sent-msg-null", "close-string",
         "agents-true", "horizon-true", "seed-true", "protocol-key-9",
         "initial-state-null", "choice-msg-int", "send-extra",
-        "observed-ext-extra", "go-extra", "grecv-extra"])
+        "observed-ext-extra", "go-extra", "grecv-extra",
+        "byz-action-performs-other", "byz-action-records-other",
+        "byz-event-other-grecv", "byz-event-other-gext", "trust-key-repeat"])
 def test_malformed_relay_exits_2_with_its_path(tmp_path, capsys, mutate,
                                                where):
     with open(scenario_path("s05_relay")) as fh:
@@ -573,9 +589,29 @@ def test_menu_closure_is_lazy_in_the_fault_alphabet(tmp_path, close):
         assert not json.loads(proc.stdout)["closure"]["1"]["gullible"]
 
 
+def test_closure_walks_each_remainder_once(tmp_path):
+    # 10 fake externals of agent 1 close to a menu of 8,192 sets, but
+    # their gullible moves join only 4 remainders without agent 1
+    with open(scenario_path("s01_quiet")) as fh:
+        doc = json.load(fh)
+    fakes = [["byz_event", 1, ["gext", 1, f"e{j}"]] for j in range(10)]
+    doc.update(f=1, horizon=1, caps={"menu_cap": 10000},
+               env_protocol={"menus": [{"close": True, "sets": [fakes]}]})
+    p = tmp_path / "fakes.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    proc = _byzlab_limited(["validate", str(p)])
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["menu_sizes"] == [8192]
+    assert "warnings" not in report
+
+
 def test_detect_past_the_packing_cap_exits_3(tmp_path, capsys):
     # agent 1 receives one trusted message about faulty(2) per chain
-    # (sender, x), each of which its sender's protocol may emit
+    # (sender, x), each of which its sender's protocol may emit and each
+    # delivered in the round its sender sends it
     pairs = [(s, x) for s in range(2, 10) for x in range(2, 10)
              if s != x][:MAX_PACKING_INPUT + 1]
     emits = {str(s): [{"guard": ["not", ["always"]], "choices": [
@@ -591,7 +627,9 @@ def test_detect_past_the_packing_cap_exits_3(tmp_path, capsys):
     trace.write_text("".join(json.dumps(rec) + "\n" for rec in (
         {**HEADER, "agents": 9, "initials": ["s"] * 9},
         {"kind": "round", "t": 0, "haps": [
-            ["grecv", 1, s, f"m{s}{x}", None] for s, x in pairs]})))
+            hap for s, x in pairs for hap in (
+                ["gsend", s, 1, f"m{s}{x}", 0, 0],
+                ["grecv", 1, s, f"m{s}{x}", [s, 1, f"m{s}{x}", 0, 0]])]})))
     assert main(["detect", str(scen), "--trace", str(trace)]) == 3
     assert f"error: {MAX_PACKING_INPUT + 1} chains exceed the packing cap " \
         f"{MAX_PACKING_INPUT}" in capsys.readouterr().err
@@ -666,11 +704,29 @@ def test_trace_numbers_physical_lines(tmp_path, capsys):
     ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 1, 2]]}], 2),
     ([HEADER, {"kind": "round", "t": 0,
                "haps": [["grecv", 2, 1, "m", [1, 2, "m", 0, 0, 0]]]}], 2),
+    # a delivery names a send of the record, or one sent in its round
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["grecv", 1, 2, "m"]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 2]]},
+      {"kind": "round", "t": 1,
+       "haps": [["grecv", 1, 2, "m", [2, 1, "m", 0, 0]]]}], 3),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["grecv", 1, 2, "m", [2, 1, "m", 0, 1]]]},
+      {"kind": "round", "t": 1,
+       "haps": [["gsend", 2, 1, "m", 0, 1]]}], 2),
+    # a byzantine hap acts as its own agent
+    ([HEADER, {"kind": "round", "t": 0, "haps": [
+        ["byz_action", 2, ["gsend", 1, 3, "m", 0, 0], None]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [
+        ["byz_action", 2, None, ["gsend", 1, 3, "m", 0, 0]]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [
+        ["byz_event", 2, ["grecv", 1, 3, "m", None]]]}], 2),
 ], ids=["header-array", "no-agents", "agents-string", "no-initials",
         "initials-string", "agent-above-n", "agent-zero", "grecv-sender",
         "agents-true", "gext-event-int", "sent-at-null", "agent-true",
         "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent",
-        "go-extra", "gmi-extra"])
+        "go-extra", "gmi-extra", "grecv-template", "grecv-unsent",
+        "grecv-sent-later", "byz-action-performs-other",
+        "byz-action-records-other", "byz-event-other"])
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
     p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,13 +28,15 @@ gsends = st.builds(GSend, agents, agents, msgs, st.integers(0, 3), times)
 
 global_haps = st.one_of(
     gsends,
-    st.builds(lambda s: GRecv(s.to, s.agent, s.msg, s.gmi), gsends),
+    st.builds(lambda s: GRecv(s.to, s.agent, s.msg, s), gsends),
     st.builds(GRecv, agents, agents, msgs),          # unresolved template
     st.builds(GExternal, agents, msgs),
     st.builds(Go, agents), st.builds(Sleep, agents), st.builds(Hib, agents),
     st.builds(fail, agents),
-    st.builds(lambda i, p, r: ByzAction(i, p, r), agents, gsends, gsends),
-    st.builds(lambda i, p: ByzAction(i, p, None), agents, gsends),
+    # a byzantine agent's sends are its own
+    st.builds(lambda p, r: ByzAction(p.agent, p, replace(r, agent=p.agent)),
+              gsends, gsends),
+    st.builds(lambda p: ByzAction(p.agent, p, None), gsends),
     st.builds(lambda i, e: ByzEvent(i, GExternal(i, e)), agents, msgs),
 )
 
@@ -58,7 +61,7 @@ def test_key_separates_sets(X):
 # one JSON argument of each kind, as a menu at time 3 may spell it
 SAMPLE = {"agent": 2, "string": "m", "integer": 1, "copy": 1, "time": 3,
           "GMI or null": [1, 2, "m", 0, 3],
-          "gsend or null": ["gsend", 1, 2, "m", 0, 3],
+          "gsend or null": ["gsend", 2, 1, "m", 0, 3],
           "grecv or gext": ["gext", 2, "e"]}
 
 HAP_FORMS = [(family, name) for family in ("local hap", "global hap")

@@ -14,8 +14,8 @@ round-0 menu repeated for H rounds, and prints one row: runs, distinct
 states, expanded distinct states (the states enumeration stepped from),
 histories, verdicts, the seconds spent enumerating, classing every
 agent's histories and cross-checking, and the process's peak RSS.
-Through the run list, H=5 takes about two seconds and 95 MB; each
-further round multiplies both by about eight.
+Through the run list, on a 2-CPU VM under Python 3.11, H=5 takes
+about half a second and 93 MB, and H=6 about 4.5 seconds and 600 MB.
 
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """

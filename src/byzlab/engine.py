@@ -3,16 +3,17 @@
 A round from timestamp t to t+1 runs through protocol, adversary,
 labeling, filtering and updating phases.  `enumerate_runs` explores every
 adversary choice exhaustively up to the context horizon, stepping once
-per distinct future key and building each distinct state once, rather
-than once per tree node; `seeded_run` resolves each choice point
+per distinct future key and class of equal env choices, and building
+each distinct state once; `seeded_run` resolves each choice point
 deterministically from a seed.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from .haps import (
@@ -32,7 +33,8 @@ class CapExceeded(Exception):
 
 @dataclass(frozen=True)
 class AgentContext:
-    """Environment protocol, joint protocol, initial states and template."""
+    """Environment protocol, joint protocol, initial states, template and
+    `step`'s tables: labels per (agent, t, choice), `_summary` per set."""
 
     n: AgentId
     env: EnvProtocol
@@ -42,6 +44,8 @@ class AgentContext:
     f: int = 0
     horizon: Timestamp = 1
     node_cap: int = 10 ** 6
+    labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def protocol(self, agent: AgentId) -> AgentProtocol:
         return self.protocols[agent - 1]
@@ -50,20 +54,13 @@ class AgentContext:
 # ---------------------------------------------------------------------------
 # Filters
 
-def _sends_in_round(X_eps: frozenset, alphas):
-    for X_i in alphas:
-        yield from X_i
-    for g in X_eps:
-        if isinstance(g, ByzAction) and g.performed is not None:
-            yield g.performed
-
-
 def filter_env_B(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
     """Causality filter: drop correct deliveries with no matching send."""
     unsent = [g for g in X_eps if isinstance(g, GRecv) and g.gmi not in state.sent]
     if not unsent:
         return X_eps
-    issued = set(_sends_in_round(X_eps, alphas))
+    issued = set(itertools.chain(*alphas, (
+        g.performed for g in X_eps if isinstance(g, ByzAction)))) - {None}
     return X_eps.difference(g for g in unsent if g.gmi not in issued)
 
 
@@ -87,26 +84,43 @@ def filter_env_Bf(state: GlobalState, X_eps: frozenset, alphas,
 # ---------------------------------------------------------------------------
 # Delivery template materialization
 
-def _materialize(state: GlobalState, X_eps: frozenset, alphas) -> frozenset:
-    """Resolve send-less delivery templates against actual sends.
+def _summary(ctx: AgentContext, X_eps: frozenset) -> tuple:
+    """(agents its fault events brand, the set without them, the sends
+    its byzantine actions perform, its delivery templates), made once."""
+    out = ctx.summaries.get(X_eps)
+    if out is None:
+        agents, kept, performed, templates = [], [], [], []
+        for g in X_eps:
+            if isinstance(g, FAULT_KINDS):
+                agents.append(g.agent)
+                if isinstance(g, ByzAction) and g.performed is not None:
+                    performed.append(g.performed)
+            else:
+                kept.append(g)
+                if isinstance(g, GRecv) and g.gmi is None:
+                    templates.append(g)
+        out = ctx.summaries[X_eps] = (
+            tuple(agents), frozenset(kept) if agents else X_eps,
+            frozenset(performed), tuple(templates))
+    return out
+
+
+def _materialize(state: GlobalState, X_eps: frozenset, templates,
+                 issued) -> frozenset:
+    """Resolve the delivery `templates` of `X_eps` against `issued` sends.
 
     A template grecv(i, j, mu) binds to the earliest matching send not yet
     delivered to i, falling back to the earliest matching send at all.
     Unresolvable templates stay unresolved and die in the causality filter.
     """
-    templates = [g for g in X_eps if isinstance(g, GRecv) and g.gmi is None]
-    if not templates:
-        return X_eps
-    candidates = sorted(
-        state.sent.union(_sends_in_round(X_eps, alphas)),
-        key=lambda s: (s.sent_at, s.copy, s.agent, s.to, s.msg))
     out = set(X_eps.difference(templates))
     for g in templates:
-        matches = [s for s in candidates
+        matches = [s for sends in issued for s in sends
                    if s.agent == g.frm and s.to == g.agent and s.msg == g.msg]
         fresh = [s for s in matches if s not in state.delivered]
-        pick = (fresh or matches or [None])[0]
-        out.add(g if pick is None else GRecv(g.agent, g.frm, g.msg, pick))
+        out.add(GRecv(g.agent, g.frm, g.msg, min(
+            fresh or matches, key=lambda s: (s.sent_at, s.copy)))
+            if matches else g)
     return frozenset(out)
 
 
@@ -123,10 +137,17 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
             if frozenset(agent_choices[i - 1]) not in ctx.protocol(i)(state.local(i)):
                 raise ValueError(f"agent {i} choice outside protocol range")
 
-    # Labeling: local actions to global format, each send its own identifier.
-    alphas = [frozenset(globalize(i, t, a) for a in X) if X else frozenset()
-              for i, X in enumerate(agent_choices, start=1)]
-    alpha_eps = _materialize(state, env_choice, alphas)
+    # Labeling, once per (agent, t, choice): each send its own identifier.
+    alphas = []
+    for i, X in enumerate(agent_choices, start=1):
+        alpha = ctx.labels.get((i, t, X))
+        if alpha is None:
+            alpha = ctx.labels[i, t, X] = frozenset(
+                globalize(i, t, a) for a in X)
+        alphas.append(alpha)
+    _, _, performed, templates = _summary(ctx, env_choice)
+    alpha_eps = _materialize(state, env_choice, templates, (
+        state.sent, performed, *alphas)) if templates else env_choice
 
     # Event filtering.
     if ctx.template == "Bf":
@@ -142,6 +163,18 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
+class collector_paused:
+    """Pause the cyclic garbage collector, then leave it as it was."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.collecting:
+            gc.enable()
+
+
 def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
     """The env menu and each agent's choices, in the order their
     protocols fixed at construction."""
@@ -156,26 +189,44 @@ def future_key(t: Timestamp, state: GlobalState) -> tuple:
     return (t, state.locals, state.sent, state.delivered, state.faulty)
 
 
+def env_classes(ctx: AgentContext, t: Timestamp, faulty: frozenset) -> list:
+    """For each choice of the env menu at t, the index of the first choice
+    that steps like it from any state with these `faulty` agents.  Under
+    `Bf` a choice the budget strips, or with no fault events, steps like
+    its rest, but a template there binds among its byzantine sends first."""
+    firsts, out = {}, []  # class key -> its first choice; choice -> first
+    for k, X in enumerate(ctx.env(t)):
+        key = X
+        if ctx.template == "Bf":
+            faults, kept, performed, templates = _summary(ctx, X)
+            if not faults or len(faulty.union(faults)) > ctx.f:
+                key = kept, performed if templates else None
+        out.append(firsts.setdefault(key, k))
+    return out
+
+
 def enumerate_runs(ctx: AgentContext) -> List[Run]:
     """All transitional runs of length horizon+1, in deterministic order.
 
     `step` reads a state only through its `future_key`, so tree nodes
     with one key have equal subtrees up to their env prefix.  A table
-    local to the call maps each key to its children, one per (env choice, agent
-    combo) in menu order, each kept as (round record, locals, sent,
-    delivered, faulty) from one `step` call when the key is first
-    reached.  Children of one parent with equal round records are one
-    state, since the update is deterministic: the walk builds it and
-    its subtree at the first of them and, at each later one, repeats
-    the runs that subtree gave, sharing their `Run` objects.  So every
-    state built is distinct by value, while the runs and their order
-    are those of a plain walk that steps at every tree node.
-    `ctx.node_cap` caps the tree edges, repeated subtrees included.
+    local to the call maps each key to its children, one per (env
+    choice, agent combo) in menu order, each kept as (round record,
+    locals, sent, delivered, faulty); only the first choice of each of
+    the `env_classes` is stepped.  Children of one parent with equal
+    round records are one state: the walk builds it and its subtree at
+    the first of them and, at each later one, repeats the runs that
+    subtree gave, sharing their `Run` objects.  So every state built is
+    distinct by value, while the runs and their order are those of a
+    plain walk that steps at every tree node.  `ctx.node_cap` caps the
+    tree edges, repeated subtrees included.
     """
+    ctx = replace(ctx)  # with step tables of its own, which die with the call
     cap = ctx.node_cap
     runs: List[Run] = []
     explored = 0
     table: Dict[tuple, list] = {}  # future key -> its children
+    classes: Dict[tuple, list] = {}  # (t, faulty) -> env_classes
 
     def walk(prefix: List[GlobalState], t: Timestamp):
         nonlocal explored
@@ -187,12 +238,19 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
         children = table.get(key)
         if children is None:
             env_opts, agent_opts = _choice_space(ctx, state, t)
-            nexts = (step(ctx, state, t, env_choice, combo, validate=False)
-                     for env_choice, combo in itertools.product(
-                         env_opts, itertools.product(*agent_opts)))
-            children = table[key] = [
-                (s.env[-1], s.locals, s.sent, s.delivered, s.faulty)
-                for s in nexts]
+            combos = list(itertools.product(*agent_opts))
+            m, children = len(combos), []
+            if (t, state.faulty) not in classes:
+                classes[t, state.faulty] = env_classes(ctx, t, state.faulty)
+            for k, first in enumerate(classes[t, state.faulty]):
+                if first < k:  # its class was stepped: share the children
+                    children += children[first * m:first * m + m]
+                    continue
+                for combo in combos:
+                    s = step(ctx, state, t, env_opts[k], combo, validate=False)
+                    children.append((s.env[-1], s.locals, s.sent,
+                                     s.delivered, s.faulty))
+            table[key] = children
         done = {}  # round record -> (slice of its runs, edges to them)
         for rnd, locals_, sent, delivered, faulty in children:
             twin = done.get(rnd)
@@ -210,12 +268,12 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
             done[rnd] = lo, len(runs), explored - before
 
     try:
-        for initials in ctx.initials:
-            walk([initial_state(initials)], 0)
+        with collector_paused():  # the walk makes no reference cycles
+            for initials in ctx.initials:
+                walk([initial_state(initials)], 0)
     finally:
         # `walk` refers to itself through its closure; breaking that
-        # cycle frees the table on return instead of at the next
-        # collection of the cyclic garbage collector
+        # cycle frees the table on return
         walk = None
     return runs
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .atoms import AtomTimeError, Correct, eval_atom
+from .engine import collector_paused
 from .formulas import (
     Always, And, Atom, Believe, Formula, Hope, Implies, Know, Not, Or,
     nested_hope,
@@ -85,23 +86,24 @@ class InterpretedSystem:
 
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
-            if self._points is None:
-                self._points = [((ridx, t), node)
-                                for ridx, row in enumerate(self._node_at)
-                                for t, node in enumerate(row)]
-            # one hash per node; classes are numbered, and each one's
-            # firsts listed, in the order of the nodes' first points
-            ids: Dict[LocalHistory, int] = {}
-            index = [ids.setdefault(s.locals[agent - 1], len(ids))
-                     for s in self._states]
-            members: List[List[Point]] = [[] for _ in ids]
-            firsts: List[List[Point]] = [[] for _ in ids]
-            for k, p in zip(index, self._first_at):
-                firsts[k].append(p)
-            for p, node in self._points:
-                members[index[node]].append(p)
-            self._classes[agent] = dict(zip(ids, members))
-            self._class_index[agent] = (index, members, firsts)
+            with collector_paused():  # the build makes no reference cycles
+                if self._points is None:
+                    self._points = [((ridx, t), node)
+                                    for ridx, row in enumerate(self._node_at)
+                                    for t, node in enumerate(row)]
+                # one hash per node; classes are numbered, and each one's
+                # firsts listed, in the order of the nodes' first points
+                ids: Dict[LocalHistory, int] = {}
+                index = [ids.setdefault(s.locals[agent - 1], len(ids))
+                         for s in self._states]
+                members: List[List[Point]] = [[] for _ in ids]
+                firsts: List[List[Point]] = [[] for _ in ids]
+                for k, p in zip(index, self._first_at):
+                    firsts[k].append(p)
+                for p, node in self._points:
+                    members[index[node]].append(p)
+                self._classes[agent] = dict(zip(ids, members))
+                self._class_index[agent] = (index, members, firsts)
         return self._classes[agent]
 
     # -- compilation -------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from dataclasses import replace
@@ -403,7 +404,8 @@ def tree_edges(ctx):
     return len({id(state) for states in runs for state in states[1:]})
 
 
-def test_enumeration_expands_each_distinct_state_once(suite, monkeypatch):
+def test_enumeration_expands_each_distinct_state_once(contexts, monkeypatch):
+    # one step per (env class, agent combo) at each distinct future key
     calls = 0
     real_step = engine.step
 
@@ -413,22 +415,105 @@ def test_enumeration_expands_each_distinct_state_once(suite, monkeypatch):
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(engine, "step", counted)
-    shared = 0
-    for name, (sc, runs, _) in suite.items():
-        ctx = sc.ctx
+    shared = collapsed = closed_calls = 0
+    for name, ctx in contexts.items():
         calls = 0
-        assert enumerate_runs(ctx) == runs, name
-        keys = {(t, s.locals, s.sent, s.delivered, s.faulty)
+        runs = enumerate_runs(ctx)
+        keys = {engine.future_key(t, s)
                 for r in runs for t, s in enumerate(r.states[:-1])}
+        combos = {key: math.prod(len(ctx.protocol(i)(h))
+                                 for i, h in enumerate(key[1], 1))
+                  for key in keys}
         expected = sum(
-            len(ctx.env(t)) * math.prod(len(ctx.protocol(i)(h))
-                                        for i, h in enumerate(locals_, 1))
-            for t, locals_, *_ in keys)
+            len(set(engine.env_classes(ctx, key[0], key[4]))) * combos[key]
+            for key in keys)
         assert calls == expected, name
         edges = tree_edges(ctx)
         assert calls <= edges, name
         shared += calls < edges
-    assert shared  # some corpus scenario reaches a state twice
+        collapsed += calls < sum(len(ctx.env(key[0])) * combos[key]
+                                 for key in keys)
+        closed_calls += calls if name.startswith("closed") else 0
+    assert shared and collapsed
+    # the 8 `closed` systems of seed 1 take 1,168 steps without classes
+    assert closed_calls == 576
+
+
+def assert_grouped_choices_step_alike(ctx, runs) -> int:
+    """Env choices that `env_classes` groups give equal round records
+    under the reference step, from every reachable state and for every
+    agent combo; returns the number of grouped choices checked."""
+    grouped = 0
+    states = {(t, s) for r in runs for t, s in enumerate(r.states[:-1])}
+    for t, state in states:
+        menu = ctx.env(t)
+        agent_opts = [ctx.protocol(i)(state.local(i))
+                      for i in range(1, ctx.n + 1)]
+        for k, first in enumerate(engine.env_classes(ctx, t, state.faulty)):
+            if first == k:
+                continue
+            grouped += 1
+            for combo in itertools.product(*agent_opts):
+                assert ref_step(ctx, state, t, menu[k], combo).env[-1] == \
+                    ref_step(ctx, state, t, menu[first], combo).env[-1]
+    return grouped
+
+
+def test_grouped_env_choices_step_alike(contexts):
+    grouped = {name: assert_grouped_choices_step_alike(
+        ctx, enumerate_runs(ctx)) for name, ctx in contexts.items()}
+    assert grouped["closed0"] and grouped["s07_sleep"]
+
+
+def test_stripped_choices_group_on_their_byzantine_sends():
+    # Agent 1's send s is delivered in round 0.  Round 1 offers two
+    # choices whose fault events the budget strips, leaving the same
+    # delivery template.  In X1 the template binds to agent 1's fresh
+    # byzantine send and dies with it; in X2, with no such send, it
+    # falls back to s and delivers it again.
+    s = GSend(1, 2, "m", 0, 0)
+    template = GRecv(2, 1, "m", None)
+    X1 = frozenset({ByzAction(1, GSend(1, 2, "m", 0, 1), None), fail(3),
+                    template})
+    X2 = frozenset({fail(1), fail(3), template})
+    p1 = proto(1, Rule(("not", ("sent", 2, "m")),
+                       (frozenset({Send(2, "m")}),)))
+    env = EnvProtocol(((frozenset({Go(1), template}),), (X1, X2)))
+    ctx = AgentContext(n=3, env=env, protocols=(p1, proto(2), proto(3)),
+                       initials=(("a", "b", "c"),), f=1, horizon=2)
+    runs = enumerate_runs(ctx)
+    assert [r.states for r in runs] == list(ref_runs(ctx))
+    records = {X: r.states[2].env[1] for X, r in zip(env(1), runs)}
+    assert records == {X1: frozenset(), X2: frozenset({GRecv(2, 1, "m", s)})}
+    assert engine.env_classes(ctx, 1, frozenset()) == [0, 1]
+    # other fault events, and no byzantine send, group with X2
+    X0 = frozenset({fail(1), Sleep(3), template})
+    ctx0 = replace(ctx, env=EnvProtocol((env(0), (X0, X2))))
+    assert engine.env_classes(ctx0, 1, frozenset()) == [0, 0]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_walks_leave_the_collector_as_found(suite, monkeypatch, collecting):
+    sc, runs, _ = suite["s07_sleep"]
+    real_step, seen = engine.step, set()
+
+    def watched(*args, **kwargs):
+        seen.add(gc.isenabled())
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", watched)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert enumerate_runs(sc.ctx) == runs
+        assert gc.isenabled() == collecting and seen == {False}
+        with pytest.raises(CapExceeded):
+            enumerate_runs(replace(sc.ctx, node_cap=3))
+        assert gc.isenabled() == collecting
+        InterpretedSystem(runs).agent_classes(1)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _deliveries_split_ctx():
@@ -540,3 +625,14 @@ def test_enumeration_matches_reference_on_random_scenarios(doc):
         for state in r.states:
             assert_summaries_fold_env(state)
     assert len(runs) == count_choice_tree(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_scenarios())
+def test_grouped_env_choices_step_alike_on_random_scenarios(doc):
+    try:
+        ctx = scenario_from_json(doc, "random").ctx
+        runs = enumerate_runs(ctx)
+    except (InputError, CapExceeded):
+        assume(False)
+    assert_grouped_choices_step_alike(ctx, runs)

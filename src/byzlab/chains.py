@@ -7,7 +7,8 @@ receipts once and returns every chain, indexed by base formula;
 `threshold_witness` holds the one packing rule: more than f - |F|
 pairwise disjoint repetition-free chains avoiding the believed-faulty
 set F (k + f - |F| for k-group occurrence) lift the nested hope to
-plain belief in phi.
+plain belief in phi.  It counts before it searches: the exact packer
+is asked only when enough chains survive to reach the threshold.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from .formulas import Formula, is_syntactically_persistent
+from .atoms import Faulty
+from .formulas import Atom, Formula, is_syntactically_persistent
 from .haps import AgentId, LocalHistory, Recv
 
 Chain = Tuple[AgentId, ...]
@@ -41,12 +43,15 @@ class TrustTable:
     must emit it only while holding the corresponding belief.  `bases`
     lists the distinct base formulas and `receipts` maps each key to
     its base's position there and the chain (sender,) + carried, so
-    that extraction never hashes a formula.
+    that extraction never hashes a formula.  `suspects` holds, per
+    position, the agent l when that base is exactly the untimed
+    faulty(l), else None: the detectors' index of chains by suspect.
     """
 
     entries: dict
     bases: tuple = field(init=False, repr=False, compare=False)
     receipts: dict = field(init=False, repr=False, compare=False)
+    suspects: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         position: Dict[Formula, int] = {}
@@ -59,6 +64,22 @@ class TrustTable:
                              (key[0],) + tuple(chain))
         object.__setattr__(self, "bases", tuple(position))
         object.__setattr__(self, "receipts", receipts)
+        object.__setattr__(self, "suspects", tuple(map(_suspect, position)))
+
+    def about_suspects(self, extracted: Extraction
+                       ) -> Dict[AgentId, FrozenSet[Chain]]:
+        """The extracted chains about each untimed faulty(l), keyed by l:
+        one pass over the extraction, no formula compared."""
+        return {ell: chains for ell, (_, chains)
+                in zip(self.suspects, extracted) if ell is not None}
+
+
+def _suspect(phi: Formula) -> Optional[AgentId]:
+    """l when phi is exactly the untimed faulty(l), else None."""
+    if isinstance(phi, Atom) and isinstance(phi.prop, Faulty) \
+            and phi.prop.at is None:
+        return phi.prop.agent
+    return None
 
 
 def extract_chains(h_i: LocalHistory, i: AgentId,
@@ -123,9 +144,18 @@ def threshold_witness(chains: FrozenSet[Chain], F: Set[AgentId], f: int,
                       ) -> Optional[FrozenSet[Chain]]:
     """The packing rule.  Keeps the repetition-free chains touching
     neither F nor `avoid` and packs them: the witness when at least
-    k + f - |F| of them are pairwise disjoint (more than f - |F| at the
-    default k = 1), else None.  An F larger than f needs no chain."""
+    need = k + f - |F| of them are pairwise disjoint (more than f - |F|
+    at the default k = 1), else None.  An F larger than f needs no
+    chain.  Fewer than `need` survivors cannot pack to `need`, so they
+    answer None without asking `max_disjoint`, and the packing cap
+    applies only to packings that are asked."""
+    need = k + f - len(F)
+    if len(chains) < need:  # the filter only removes chains
+        return None
     out = F.union(avoid)
-    card, witness = max_disjoint(frozenset(
-        s for s in chains if len(set(s)) == len(s) and out.isdisjoint(s)))
-    return witness if card >= k + f - len(F) else None
+    kept = frozenset(
+        s for s in chains if len(set(s)) == len(s) and out.isdisjoint(s))
+    if len(kept) < need:
+        return None
+    card, witness = max_disjoint(kept)
+    return witness if card >= need else None

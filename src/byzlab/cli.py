@@ -6,9 +6,11 @@
     byzlab check    SCENARIO [--formula STR] [--against-detection]
     byzlab validate SCENARIO
 
-Exit codes: 0 success, 2 invalid scenario/trace/formula, 3 node or
-packing cap exceeded, 4 a detector claim the oracle refutes.  The
-environment variable BYZLAB_NODE_CAP overrides the scenario's node cap.
+Exit codes: 0 success, 2 invalid scenario/trace/formula, 3 node cap
+exceeded or a packing asked of more chains than the packing cap, 4 a
+detector claim the oracle refutes or a trust entry whose contract the
+enumerated system breaks.  The environment variable BYZLAB_NODE_CAP
+overrides the scenario's node cap.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .haps import External
 from .oracle import InterpretedSystem
 from .protocols import check_closure_properties
 from .scenario import Scenario, load_scenario
-from .serial import InputError, typed
+from .serial import InputError, hapset_to_json, typed
 from .trace import read_trace, trace_lines, write_trace
 
 EXIT_OK = 0
@@ -186,8 +188,19 @@ def cmd_validate(args) -> int:
                         "G-formulas will carry a non-quiescence warning")
     if warnings:
         report["warnings"] = warnings
+    violations = []
+    if sc.trust.entries:
+        system = _build_system(sc)
+        for j, i, msg, (r, t) in system.verify_trust_table(
+                sc.trust, ctx.protocols):
+            h = system.runs[r].local(j, t)
+            violations.append({
+                "from": j, "to": i, "msg": msg, "point": [r, t],
+                "history": {"initial": h.initial,
+                            "rounds": list(map(hapset_to_json, h.rounds))}})
+        report["trust_violations"] = violations
     print(json.dumps(report, sort_keys=True, indent=2))
-    return EXIT_OK
+    return EXIT_UNSOUND if violations else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also refute-test every believed-faulty verdict")
     chk.set_defaults(fn=cmd_check)
 
-    val = sub.add_parser("validate", help="sanity-check a scenario file")
+    val = sub.add_parser("validate", help="sanity-check a scenario file "
+                         "and its trust table's contract")
     val.add_argument("scenario")
     val.set_defaults(fn=cmd_validate)
     return ap

@@ -2,21 +2,23 @@
 
 Everything here works on a single local history: the agent never sees
 the run, only what it recorded.  Each detector call extracts the
-history's chains once, indexed by base formula, and every packing test
-goes through `chains.threshold_witness`.  Soundness of each detector
+history's chains once, indexed by base formula; the fixpoint and the
+notification detector read each suspect's chains from the trust
+table's index of untimed faulty(l) bases, and every packing test goes
+through `chains.threshold_witness`.  Soundness of each detector
 against the Kripke oracle is exercised by the acceptance suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Optional, Sequence, Set
 
 from .atoms import Faulty, OccurredCorrectly
 # `max_disjoint` is looked up here by perfbench/tracing.py, which counts
 # packings under this name as well as under `chains.max_disjoint`.
 from .chains import (  # noqa: F401
-    Extraction, TrustTable, chains_about, extract_chains, max_disjoint,
+    Chain, TrustTable, chains_about, extract_chains, max_disjoint,
     threshold_witness,
 )
 from .formulas import Atom, Believe, group_occurrence_formula
@@ -63,10 +65,11 @@ def dir_obs_faulty(h_i: LocalHistory, i: AgentId, protocols) -> Set[AgentId]:
     return out
 
 
-def dir_notif_faulty(extracted: Extraction) -> Set[AgentId]:
-    """Agents whose own-faultiness notification arrived as a singleton chain."""
-    return {s[0] for base, chains in extracted for s in chains
-            if len(s) == 1 and base == Atom(Faulty(s[0]))}
+def dir_notif_faulty(about: Dict[AgentId, FrozenSet[Chain]]) -> Set[AgentId]:
+    """Agents whose own-faultiness notification arrived as a singleton
+    chain, read from the chains about each suspect
+    (`TrustTable.about_suspects`)."""
+    return {ell for ell, chains in about.items() if (ell,) in chains}
 
 
 def self_check_faulty(h_i: LocalHistory, i: AgentId, protocol) -> bool:
@@ -94,24 +97,24 @@ def belief_who_is_faulty(inp: DetectionInput,
     """
     i, f = inp.agent, inp.f
     agents = order if order is not None else range(1, inp.n + 1)
-    extracted = extract_chains(inp.h_i, i, inp.trust)
+    about = inp.trust.about_suspects(extract_chains(inp.h_i, i, inp.trust))
     provenance: Dict[AgentId, tuple] = {}  # the first way found is kept
     for found, how in (
             (dir_obs_faulty(inp.h_i, i, inp.protocols), "direct-observation"),
-            (dir_notif_faulty(extracted), "direct-notification"),
+            (dir_notif_faulty(about), "direct-notification"),
             ({i} if self_check_faulty(inp.h_i, i, inp.protocols[i - 1])
              else (), "self-detection")):
         for j in found:
             provenance.setdefault(j, (how,))
     F = set(provenance)
 
-    about = {ell: chains_about(extracted, Atom(Faulty(ell))) for ell in agents}
     iterations, grown = 0, True
     while grown:
         iterations += 1
         grown = False
         for ell in agents:
-            witness = None if ell in F else threshold_witness(about[ell], F, f)
+            witness = None if ell in F else threshold_witness(
+                about.get(ell, frozenset()), F, f)
             if witness is not None:
                 F.add(ell)
                 provenance[ell] = ("chain-threshold", witness)

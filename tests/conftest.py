@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from byzlab.chains import max_disjoint
 from byzlab.engine import enumerate_runs
 from byzlab.haps import (
     FAULT_KINDS, GSend, Go, Hib, LocalHistory, Sleep, is_event, localize,
@@ -28,6 +29,15 @@ def pairwise_disjoint(chains) -> bool:
             return False
         seen |= set(s)
     return True
+
+
+def reference_threshold(chains, F, f, k=1, avoid=()):
+    """The packing rule as first written: filter, pack with
+    `max_disjoint`, then compare the packing with k + f - |F|."""
+    out = F.union(avoid)
+    card, witness = max_disjoint(frozenset(
+        s for s in chains if len(set(s)) == len(s) and out.isdisjoint(s)))
+    return witness if card >= k + f - len(F) else None
 
 
 def shorten_chain(chain):

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty
+from byzlab import chains as chains_module
 from byzlab.chains import (
     MAX_PACKING_INPUT, PackingCapExceeded, TrustTable, chains_about,
     extract_chains, max_disjoint, threshold_witness,
 )
 from byzlab.formulas import Atom, Not
 from byzlab.haps import LocalHistory, Recv
-from tests.conftest import pairwise_disjoint, shorten_chain
+from tests.conftest import (
+    pairwise_disjoint, reference_threshold, shorten_chain,
+)
 
 
 def brute_force_max(chains):
@@ -115,3 +118,38 @@ def test_threshold_belief():
     assert threshold_witness(chains | {(6, 7, 6)}, set(), 3) is None
     # an F beyond f needs no chain at all: the empty packing clears it
     assert threshold_witness(frozenset(), {1, 2, 3}, 2) == frozenset()
+
+
+agent_sets = st.frozensets(st.integers(1, 9), max_size=4)
+
+
+@given(chain_sets, agent_sets, st.integers(0, 4), st.integers(0, 3),
+       agent_sets)
+@settings(max_examples=300)
+def test_threshold_matches_reference(chains, F, f, k, avoid):
+    assert threshold_witness(chains, set(F), f, k, avoid) == \
+        reference_threshold(chains, set(F), f, k, avoid)
+
+
+def test_too_few_survivors_ask_no_packing(monkeypatch):
+    def refuse(chains):
+        raise AssertionError(f"packing asked for {sorted(chains)}")
+
+    monkeypatch.setattr(chains_module, "max_disjoint", refuse)
+    chains = frozenset({(2,), (3,), (4, 5), (6, 7, 6)})
+    # need = 1 + 3 - 0 = 4, and the looped chain does not survive
+    assert threshold_witness(chains, set(), 3) is None
+    # F drops (2,) and `avoid` drops (3,): 1 survivor, need 1 + 2 - 1 = 2
+    assert threshold_witness(chains, {2}, 2, avoid={3}) is None
+    # 3 survivors can reach need = k + f - |F| = 3 + 0 - 0, so they pack
+    with pytest.raises(AssertionError, match="packing asked"):
+        threshold_witness(chains, set(), 0, k=3)
+
+
+def test_packing_cap_applies_to_asked_packings_only():
+    many = frozenset((a,) for a in range(1, MAX_PACKING_INPUT + 9))
+    # 40 survivors cannot reach need = 1 + 40: no packing, no cap
+    assert threshold_witness(many, set(), MAX_PACKING_INPUT + 8) is None
+    # need = 2 is reachable, so the 40 chains are packed and hit the cap
+    with pytest.raises(PackingCapExceeded):
+        threshold_witness(many, set(), 1)

@@ -5,14 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from byzlab.atoms import Faulty, OccurredCorrectly
 from byzlab import detect
-from byzlab.chains import TrustTable, extract_chains
+from byzlab.chains import TrustTable, chains_about, extract_chains
 from byzlab.detect import (
-    DetectionInput, belief_who_is_faulty, dir_notif_faulty,
+    BeliefReport, DetectionInput, belief_who_is_faulty, dir_notif_faulty,
     dir_obs_faulty, group_occurrence_belief, self_check_faulty,
 )
-from byzlab.formulas import Atom
+from byzlab.engine import enumerate_runs
+from byzlab.formulas import Atom, group_occurrence_formula
 from byzlab.haps import External, LocalHistory, Recv, Send
+from byzlab.oracle import InterpretedSystem
 from byzlab.protocols import AgentProtocol, Rule, guard_holds
+from byzlab.scenario import scenario_from_json
+from tests.conftest import perfbench_gen, reference_threshold
 
 
 def proto(i, *rules):
@@ -39,7 +43,8 @@ def test_dir_notif_needs_a_singleton_chain():
         (3, 1, "gossip"): (Atom(Faulty(3)), (2,)),
     })
     h = LocalHistory("s", (frozenset({Recv(2, "sorry"), Recv(3, "gossip")}),))
-    assert dir_notif_faulty(extract_chains(h, 1, trust)) == {2}
+    assert dir_notif_faulty(trust.about_suspects(extract_chains(h, 1, trust))) \
+        == {2}
 
 
 def test_self_check_spots_unoffered_actions():
@@ -224,3 +229,112 @@ def test_one_extraction_per_detector_call(monkeypatch, suite):
                         include_self=True)
                     assert len(calls) == 1, (name, i, h, k)
     assert answered > 0
+
+
+def test_timed_faulty_base_backs_no_suspect():
+    # faulty(2,1) is persistent, but it is not faulty(2): receipts about
+    # it are neither 2's own notification nor chains toward the threshold
+    sends_m = Rule(("always",), (frozenset({Send(1, "m")}),))
+    protocols = (proto(1),) + tuple(proto(j, sends_m) for j in (2, 3, 4))
+    notified = LocalHistory("s", (frozenset({Recv(2, "m")}),))
+    chained = LocalHistory("s", (frozenset({Recv(3, "m"), Recv(4, "m")}),))
+    keys = ((2, 1, "m"), (3, 1, "m"), (4, 1, "m"))
+    for phi, expected in (
+            (Atom(Faulty(2, 1)), ({}, {})),
+            (Atom(Faulty(2)), ({2: ("direct-notification",)},
+                               {2: ("chain-threshold",
+                                    frozenset({(3,), (4,)}))}))):
+        trust = TrustTable({key: (phi, ()) for key in keys})
+        got = tuple(belief_who_is_faulty(DetectionInput(
+            h, 1, 1, protocols, trust)).provenance for h in (notified, chained))
+        assert got == expected, phi
+
+
+# -- the detectors as first written, which the indexed ones must match --
+
+def reference_belief(inp: DetectionInput) -> BeliefReport:
+    """The fixpoint with each suspect's chains found by comparing
+    Atom(Faulty(l)) with every base, and every threshold through the
+    pack-then-compare rule."""
+    i, f = inp.agent, inp.f
+    extracted = extract_chains(inp.h_i, i, inp.trust)
+    notified = {s[0] for base, chains in extracted for s in chains
+                if len(s) == 1 and base == Atom(Faulty(s[0]))}
+    provenance = {}
+    for found, how in (
+            (dir_obs_faulty(inp.h_i, i, inp.protocols), "direct-observation"),
+            (notified, "direct-notification"),
+            ({i} if self_check_faulty(inp.h_i, i, inp.protocols[i - 1])
+             else (), "self-detection")):
+        for j in found:
+            provenance.setdefault(j, (how,))
+    F = set(provenance)
+    agents = range(1, inp.n + 1)
+    about = {ell: chains_about(extracted, Atom(Faulty(ell))) for ell in agents}
+    iterations, grown = 0, True
+    while grown:
+        iterations += 1
+        grown = False
+        for ell in agents:
+            witness = None if ell in F else \
+                reference_threshold(about[ell], F, f)
+            if witness is not None:
+                F.add(ell)
+                provenance[ell] = ("chain-threshold", witness)
+                grown = True
+    return BeliefReport(F, provenance, iterations)
+
+
+def reference_occurrence(h, i, o, k, f, F, trust, n, include_self):
+    extracted = extract_chains(h, i, trust)
+    occ = chains_about(extracted, Atom(OccurredCorrectly(o)))
+    if reference_threshold(occ, F, f, k) is not None:
+        return True
+    if include_self and o in h and \
+            reference_threshold(occ, F, f, k - 1, avoid=(i,)) is not None:
+        return True
+    group = chains_about(extracted, group_occurrence_formula(n, k, o))
+    return reference_threshold(group, F, f) is not None
+
+
+@pytest.fixture(scope="module")
+def detection_inputs(suite):
+    """(name, detection input) for every distinct history of every agent
+    in the corpus and in the 8 `closed` benchmark systems of seed 1."""
+    systems = [(name, sc, system) for name, (sc, _, system) in suite.items()]
+    for k, doc in enumerate(perfbench_gen().closed(1)):
+        sc = scenario_from_json(doc, f"closed{k}")
+        systems.append((sc.name, sc, InterpretedSystem(
+            enumerate_runs(sc.ctx),
+            quiescent=sc.ctx.env.span <= sc.ctx.horizon)))
+    return [(name, DetectionInput(h, i, sc.ctx.f, sc.ctx.protocols, sc.trust))
+            for name, sc, system in systems
+            for i in range(1, sc.ctx.n + 1) for h in system.agent_classes(i)]
+
+
+def test_fixpoint_matches_reference(detection_inputs):
+    ways = set()
+    for name, inp in detection_inputs:
+        got, want = belief_who_is_faulty(inp), reference_belief(inp)
+        assert (got.faulty, got.provenance, got.iterations) == \
+            (want.faulty, want.provenance, want.iterations), (name, inp)
+        ways.update(how[0] for how in got.provenance.values())
+    # every way of gaining belief is exercised
+    assert ways == {"direct-observation", "direct-notification",
+                    "self-detection", "chain-threshold"}
+
+
+def test_group_occurrence_matches_reference(detection_inputs):
+    answers = set()
+    for name, inp in detection_inputs:
+        n, f = inp.n, inp.f
+        for F in (set(), belief_who_is_faulty(inp).faulty):
+            for k in range(1, n - f + 1):
+                for include_self in (False, True):
+                    args = (inp.h_i, inp.agent, External("blast"), k, f, F,
+                            inp.trust, n, include_self)
+                    got = group_occurrence_belief(*args)
+                    assert got == reference_occurrence(*args), \
+                        (name, inp, F, k, include_self)
+                    answers.add(got)
+    assert answers == {False, True}

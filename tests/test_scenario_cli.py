@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import byzlab
+from byzlab import cli
 from byzlab.chains import MAX_PACKING_INPUT
 from byzlab.cli import main
 from byzlab.engine import seeded_run
@@ -289,8 +290,16 @@ def test_unreadable_scenario_exits_2_with_its_path(tmp_path, capsys):
         assert main(["validate", str(path)]) == 2
         assert f"error: {where}: " in capsys.readouterr().err
     shallow = tmp_path / "shallow.json"
-    shallow.write_text(_deep_guard_text(3))
+    shallow.write_text(_deep_guard_text(4))
     assert main(["validate", str(shallow)]) == 0
+    # an odd count of nots negates agent 2's guard, so 2 sends a24 to 3
+    # without the belief its trust entry requires, and 3 relays it as a34
+    shallow.write_text(_deep_guard_text(3))
+    capsys.readouterr()
+    assert main(["validate", str(shallow)]) == 4
+    assert {(v["from"], v["to"], v["msg"]) for v in json.loads(
+        capsys.readouterr().out)["trust_violations"]} == \
+        {(2, 3, "a24"), (3, 1, "a34")}
 
 
 def test_missing_agent_table_defaults_to_idle():
@@ -311,6 +320,41 @@ def test_cli_validate_rejects_garbage(tmp_path, capsys):
     p.write_text(json.dumps(minimal_doc(f=5)))
     assert main(["validate", str(p)]) == 2
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
+
+
+def test_cli_validate_checks_every_corpus_trust_table(capsys, monkeypatch):
+    for name in SCENARIO_NAMES:
+        if not load_scenario(scenario_path(name)).trust.entries:
+            continue
+        assert main(["validate", scenario_path(name)]) == 0, name
+        assert json.loads(capsys.readouterr().out)["trust_violations"] == []
+    # a scenario without a trust table enumerates nothing more
+    monkeypatch.setattr(cli, "_build_system", None)
+    assert main(["validate", scenario_path("s01_quiet")]) == 0
+    assert "trust_violations" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, entry, key, broken", [
+    ("s05_relay", 0, "chain", [3]),
+    ("s10_one_chain", 0, "formula", "faulty(1)"),
+])
+def test_cli_validate_reports_a_broken_trust_entry(tmp_path, capsys, name,
+                                                   entry, key, broken):
+    doc = _load_json(scenario_path(name))
+    doc["trust_table"][entry][key] = broken
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 4
+    violations = json.loads(capsys.readouterr().out)["trust_violations"]
+    assert violations
+    sent = doc["trust_table"][entry]
+    for v in violations:
+        assert (v["from"], v["to"], v["msg"]) == \
+            (sent["from"], sent["to"], sent["msg"])
+        # the sender's history at the point: at most one round per time
+        assert len(v["history"]["rounds"]) <= v["point"][1]
+        assert v["history"]["initial"] == \
+            doc["initial_states"][0][sent["from"] - 1]
 
 
 def test_cli_simulate_roundtrip(tmp_path, capsys):

@@ -117,7 +117,8 @@ def cmd_detect(args) -> int:
                 {"event": ev, "k": k,
                  "believed": group_occurrence_belief(
                      h, i, External(ev), k, sc.ctx.f, bel.faulty, sc.trust,
-                     n, include_self=args.include_self)}
+                     n, include_self=args.include_self,
+                     extracted=bel.extracted)}
                 for ev, k in queries]
         report["agents"][str(i)] = entry
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -167,7 +168,9 @@ def cmd_validate(args) -> int:
     sc = _load(args.scenario)
     ctx = sc.ctx
     closure = check_closure_properties(ctx)
-    leaves = count_choice_tree(ctx)
+    # the trust check enumerates the system, whose runs are the leaves
+    system = _build_system(sc) if sc.trust.entries else None
+    leaves = count_choice_tree(ctx) if system is None else len(system.runs)
     report = {
         "scenario": sc.name,
         "agents": ctx.n, "f": ctx.f, "template": ctx.template,
@@ -189,8 +192,7 @@ def cmd_validate(args) -> int:
     if warnings:
         report["warnings"] = warnings
     violations = []
-    if sc.trust.entries:
-        system = _build_system(sc)
+    if system is not None:
         for j, i, msg, (r, t) in system.verify_trust_table(
                 sc.trust, ctx.protocols):
             h = system.runs[r].local(j, t)

@@ -11,15 +11,15 @@ against the Kripke oracle is exercised by the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Set
 
 from .atoms import Faulty, OccurredCorrectly
 # `max_disjoint` is looked up here by perfbench/tracing.py, which counts
 # packings under this name as well as under `chains.max_disjoint`.
 from .chains import (  # noqa: F401
-    Chain, TrustTable, chains_about, extract_chains, max_disjoint,
-    threshold_witness,
+    Chain, Extraction, TrustTable, chains_about, extract_chains,
+    max_disjoint, threshold_witness,
 )
 from .formulas import Atom, Believe, group_occurrence_formula
 from .haps import AgentId, LocalHistory, Recv, Send
@@ -40,11 +40,15 @@ class DetectionInput:
 
 @dataclass
 class BeliefReport:
-    """Believed-faulty set with, per member, how the belief was gained."""
+    """Believed-faulty set with, per member, how the belief was gained,
+    and the history's chains the fixpoint read, which
+    `group_occurrence_belief` can take instead of extracting again."""
 
     faulty: Set[AgentId]
     provenance: Dict[AgentId, tuple]
     iterations: int
+    extracted: Optional[Extraction] = field(default=None, repr=False,
+                                            compare=False)
 
 
 def dir_obs_faulty(h_i: LocalHistory, i: AgentId, protocols) -> Set[AgentId]:
@@ -97,7 +101,8 @@ def belief_who_is_faulty(inp: DetectionInput,
     """
     i, f = inp.agent, inp.f
     agents = order if order is not None else range(1, inp.n + 1)
-    about = inp.trust.about_suspects(extract_chains(inp.h_i, i, inp.trust))
+    extracted = extract_chains(inp.h_i, i, inp.trust)
+    about = inp.trust.about_suspects(extracted)
     provenance: Dict[AgentId, tuple] = {}  # the first way found is kept
     for found, how in (
             (dir_obs_faulty(inp.h_i, i, inp.protocols), "direct-observation"),
@@ -119,7 +124,7 @@ def belief_who_is_faulty(inp: DetectionInput,
                 F.add(ell)
                 provenance[ell] = ("chain-threshold", witness)
                 grown = True
-    return BeliefReport(F, provenance, iterations)
+    return BeliefReport(F, provenance, iterations, extracted)
 
 
 def cross_check(scenario, system) -> list:
@@ -140,20 +145,23 @@ def cross_check(scenario, system) -> list:
 
 def group_occurrence_belief(h_i: LocalHistory, i: AgentId, o, k: int, f: int,
                             F: Set[AgentId], trust: TrustTable, n: int,
-                            include_self: bool = False) -> bool:
+                            include_self: bool = False, *,
+                            extracted: Optional[Extraction] = None) -> bool:
     """Belief that k forever-correct agents believe o occurred correctly.
 
     Fires on enough disjoint chains for the occurrence itself (k + f - |F|,
     with k lowered by one when the agent observed o locally and no chain
     involves it), or on more than f - |F| chains for the k-group formula;
-    so an F larger than f needs no chain.
+    so an F larger than f needs no chain.  `extracted`, when given, is
+    `extract_chains(h_i, i, trust)`, as a `BeliefReport` of h_i keeps it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k + f > n:
         raise ValueError(f"need k + f <= n, got {k} + {f} > {n}")
 
-    extracted = extract_chains(h_i, i, trust)
+    if extracted is None:
+        extracted = extract_chains(h_i, i, trust)
     occ = chains_about(extracted, Atom(OccurredCorrectly(o)))
     if threshold_witness(occ, F, f, k) is not None:
         return True

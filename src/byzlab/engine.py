@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from .haps import (
     FAULT_KINDS, AgentId, ByzAction, GRecv, GlobalState, Go, Run, Timestamp,
-    apply_round, globalize, initial_state,
+    compile_round, globalize, initial_state, join_round,
 )
 from .protocols import AgentProtocol, EnvProtocol
 
@@ -34,7 +34,12 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class AgentContext:
     """Environment protocol, joint protocol, initial states, template and
-    `step`'s tables: labels per (agent, t, choice), `_summary` per set."""
+    the walks' tables, filled as they are asked: labels per (agent, t,
+    choice), `_summary` per env set, `compile_round` per round record
+    and each agent's choices per (agent, history).  The tables are
+    bounded by the distinct sets, records and histories the context's
+    walks meet, and die with the context; `enumerate_runs` walks a copy
+    with tables of its own."""
 
     n: AgentId
     env: EnvProtocol
@@ -46,6 +51,8 @@ class AgentContext:
     node_cap: int = 10 ** 6
     labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    choices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def protocol(self, agent: AgentId) -> AgentProtocol:
         return self.protocols[agent - 1]
@@ -129,7 +136,9 @@ def _materialize(state: GlobalState, X_eps: frozenset, templates,
 
 def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
          env_choice: frozenset, agent_choices, validate: bool = True) -> GlobalState:
-    """Execute one round given the adversary's choices."""
+    """Execute one round given the adversary's choices.  `validate`
+    checks them against the menu and the protocols, called afresh;
+    the round record is compiled once per context (`ctx.records`)."""
     if validate:
         if env_choice not in ctx.env(t):
             raise ValueError(f"environment choice not offered at t={t}")
@@ -156,8 +165,12 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
         beta_eps = filter_env_B(state, alpha_eps, alphas)
 
     # Action filtering, then updating: actions pass when go(i) was granted.
-    return apply_round(state, beta_eps.union(
-        *(alphas[g.agent - 1] for g in beta_eps if isinstance(g, Go))))
+    rnd = beta_eps.union(
+        *(alphas[g.agent - 1] for g in beta_eps if isinstance(g, Go)))
+    compiled = ctx.records.get(rnd)
+    if compiled is None:
+        compiled = ctx.records[rnd] = compile_round(rnd)
+    return join_round(state, compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +190,15 @@ class collector_paused:
 
 def _choice_space(ctx: AgentContext, state: GlobalState, t: Timestamp):
     """The env menu and each agent's choices, in the order their
-    protocols fixed at construction."""
-    return ctx.env(t), [ctx.protocol(i)(state.local(i))
-                        for i in range(1, ctx.n + 1)]
+    protocols fixed at construction; each protocol is asked once per
+    history (`ctx.choices`)."""
+    agent_opts = []
+    for key in enumerate(state.locals, start=1):
+        opts = ctx.choices.get(key)
+        if opts is None:
+            opts = ctx.choices[key] = ctx.protocol(key[0])(key[1])
+        agent_opts.append(opts)
+    return ctx.env(t), agent_opts
 
 
 def future_key(t: Timestamp, state: GlobalState) -> tuple:
@@ -305,6 +324,8 @@ def count_choice_tree(ctx: AgentContext) -> int:
 # Seeded adversary
 
 def _pick(seed: int, t: Timestamp, point: int, n_options: int) -> int:
+    if n_options == 1:  # any digest mod 1 is 0
+        return 0
     digest = hashlib.sha256(f"{seed}|{t}|{point}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % n_options
 

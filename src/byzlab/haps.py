@@ -240,41 +240,64 @@ def _grow(old: frozenset, new: set) -> frozenset:
     return old if new <= old else old.union(new)
 
 
-def apply_round(state: GlobalState, rnd: frozenset) -> GlobalState:
-    """The state after one round, given the environment's verbatim record
-    of it: the round's events plus the correct sends agents performed.
+def compile_round(rnd: frozenset) -> tuple:
+    """A round record compiled for `join_round`, in one pass that
+    dispatches on each hap's exact type: (the record, a list of (agent,
+    its appended round), and the sets of the record's sends, of the
+    sends its correct deliveries name and of its faulty agents).  No
+    part is changed once compiled, so states joined from one compiled
+    record share its appended rounds.
 
-    An agent's history gains one round holding its perceived events and
-    its actions (its `GSend`s), system events stripped.  It is untouched
-    when the agent perceives no event and was not activated, denying it
-    knowledge that the round passed; a go with nothing perceived appends
-    an empty marker round.  One pass over the record serves every agent
-    and extends the state's summaries."""
+    An agent's appended round holds its perceived events and its
+    actions (its `GSend`s), system events stripped.  An agent that
+    perceives no event and was not activated appends nothing, which
+    denies it knowledge that the round passed; a go with nothing
+    perceived appends an empty marker round."""
     heard = defaultdict(set)  # agent -> its perceived events, localized
     did = defaultdict(set)    # agent -> its correct sends, localized
     sent, delivered, faulty = set(), set(), set()
     for g in rnd:
-        if isinstance(g, GSend):
+        kind = type(g)
+        if kind is GSend:
             did[g.agent].add(Send(g.to, g.msg, g.copy))
             sent.add(g)
-            continue
-        if isinstance(g, GRecv) and g.gmi is not None:
-            delivered.add(g.gmi)
-        elif isinstance(g, FAULT_KINDS):
-            faulty.add(g.agent)
-            if isinstance(g, ByzAction) and g.performed is not None:
-                sent.add(g.performed)
-        loc = localize(g)
-        if loc is not None:
-            heard[g.agent].add(loc)
-        elif isinstance(g, Go):
+        elif kind is GRecv:
+            heard[g.agent].add(Recv(g.frm, g.msg))
+            if g.gmi is not None:
+                delivered.add(g.gmi)
+        elif kind is Go:
             heard[g.agent]  # activated: a round marker even if empty
+        elif kind is GExternal:
+            heard[g.agent].add(External(g.event))
+        elif kind in FAULT_KINDS:
+            faulty.add(g.agent)
+            if kind is ByzAction and g.performed is not None:
+                sent.add(g.performed)
+            loc = localize(g)
+            if loc is not None:
+                heard[g.agent].add(loc)
+    return rnd, [(i, frozenset(haps.union(did[i]) if i in did else haps))
+                 for i, haps in heard.items()], sent, delivered, faulty
+
+
+def join_round(state: GlobalState, compiled: tuple) -> GlobalState:
+    """The state after the round `compiled` by `compile_round`: each
+    agent's history gains its appended round, the record extends `env`
+    and its deltas extend the summaries."""
+    rnd, rounds, sent, delivered, faulty = compiled
     locals_ = list(state.locals)
-    for i, haps in heard.items():
+    for i, haps in rounds:
         if 0 < i <= len(locals_):
-            locals_[i - 1] = locals_[i - 1].append(
-                frozenset(haps.union(did.get(i, ()))))
+            locals_[i - 1] = locals_[i - 1].append(haps)
     return GlobalState(state.env + (rnd,), tuple(locals_),
                        _grow(state.sent, sent),
                        _grow(state.delivered, delivered),
                        _grow(state.faulty, faulty))
+
+
+def apply_round(state: GlobalState, rnd: frozenset) -> GlobalState:
+    """The state after one round, given the environment's verbatim record
+    of it: the round's events plus the correct sends agents performed.
+    The record is compiled (`compile_round`), then joined onto the state
+    (`join_round`); `step` keeps each compiled record in its context."""
+    return join_round(state, compile_round(rnd))

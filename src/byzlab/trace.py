@@ -22,8 +22,8 @@ from typing import List, Tuple
 
 from .haps import GRecv, Run, apply_round, initial_state
 from .serial import (
-    InputError, decode_haps, field, hapset_to_json, parse_json, read_text,
-    to_json, typed,
+    InputError, decode_haps, field, hap_key, parse_json, read_text, to_json,
+    typed,
 )
 
 TRACE_VERSION = 1
@@ -34,6 +34,12 @@ def _dumps(obj) -> str:
 
 
 def trace_lines(run: Run, scenario: str, seed=None) -> List[str]:
+    """The trace of `run`: the header, then one line per round record.
+    A round line joins its haps' sorted `hap_key`s, so each hap is
+    encoded once.  The text equals what `_dumps` writes of the line's
+    object with the record's `hapset_to_json` forms: both encoders are
+    compact and ASCII-only, the forms sort by that same key, and the
+    object's keys are written in `sort_keys` order."""
     final = run.state(run.horizon)
     lines = [_dumps({
         "kind": "header", "version": TRACE_VERSION, "scenario": scenario,
@@ -41,10 +47,8 @@ def trace_lines(run: Run, scenario: str, seed=None) -> List[str]:
         "initials": [h.initial for h in final.locals],
     })]
     for t, rnd in enumerate(final.env):
-        lines.append(_dumps({
-            "kind": "round", "t": t,
-            "haps": hapset_to_json(rnd),
-        }))
+        lines.append('{"haps":[%s],"kind":"round","t":%d}'
+                     % (",".join(sorted(map(hap_key, rnd))), t))
     return lines
 
 

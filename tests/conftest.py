@@ -1,12 +1,15 @@
 import importlib.util
 import os
+from dataclasses import replace
 
 import pytest
+from hypothesis import strategies as st
 
 from byzlab.chains import max_disjoint
 from byzlab.engine import enumerate_runs
 from byzlab.haps import (
-    FAULT_KINDS, GSend, Go, Hib, LocalHistory, Sleep, is_event, localize,
+    FAULT_KINDS, ByzAction, ByzEvent, GExternal, GRecv, GSend, Go, Hib,
+    LocalHistory, Sleep, fail, is_event, localize,
 )
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import load_scenario, scenario_from_json
@@ -95,6 +98,24 @@ def contexts(suite):
     for k, doc in enumerate(perfbench_gen().closed(1)):
         out[f"closed{k}"] = scenario_from_json(doc, f"closed{k}").ctx
     return out
+
+
+def global_hap_strategy(agents, msgs, times=st.integers(0, 6)):
+    """Global haps of every form, with `agents` and message ids `msgs`."""
+    gsends = st.builds(GSend, agents, agents, msgs, st.integers(0, 3), times)
+    return st.one_of(
+        gsends,
+        st.builds(lambda s: GRecv(s.to, s.agent, s.msg, s), gsends),
+        st.builds(GRecv, agents, agents, msgs),          # unresolved template
+        st.builds(GExternal, agents, msgs),
+        st.builds(Go, agents), st.builds(Sleep, agents), st.builds(Hib, agents),
+        st.builds(fail, agents),
+        # a byzantine agent's sends are its own
+        st.builds(lambda p, r: ByzAction(p.agent, p, replace(r, agent=p.agent)),
+                  gsends, gsends),
+        st.builds(lambda p: ByzAction(p.agent, p, None), gsends),
+        st.builds(lambda i, e: ByzEvent(i, GExternal(i, e)), agents, msgs),
+    )
 
 
 # -- the per-agent round update that `haps.apply_round` is checked against --

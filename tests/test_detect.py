@@ -228,6 +228,11 @@ def test_one_extraction_per_detector_call(monkeypatch, suite):
                         h, i, External("blast"), k, f, rep.faulty, sc.trust, n,
                         include_self=True)
                     assert len(calls) == 1, (name, i, h, k)
+                    calls.clear()
+                    group_occurrence_belief(
+                        h, i, External("blast"), k, f, rep.faulty, sc.trust, n,
+                        include_self=True, extracted=rep.extracted)
+                    assert not calls, (name, i, h, k)
     assert answered > 0
 
 
@@ -325,16 +330,20 @@ def test_fixpoint_matches_reference(detection_inputs):
 
 
 def test_group_occurrence_matches_reference(detection_inputs):
+    # with the chains it extracts, and with those the fixpoint kept
     answers = set()
     for name, inp in detection_inputs:
         n, f = inp.n, inp.f
-        for F in (set(), belief_who_is_faulty(inp).faulty):
+        bel = belief_who_is_faulty(inp)
+        assert bel.extracted == extract_chains(inp.h_i, inp.agent, inp.trust)
+        for F in (set(), bel.faulty):
             for k in range(1, n - f + 1):
                 for include_self in (False, True):
                     args = (inp.h_i, inp.agent, External("blast"), k, f, F,
                             inp.trust, n, include_self)
                     got = group_occurrence_belief(*args)
-                    assert got == reference_occurrence(*args), \
+                    assert got == reference_occurrence(*args) == \
+                        group_occurrence_belief(*args, extracted=bel.extracted), \
                         (name, inp, F, k, include_self)
                     answers.add(got)
     assert answers == {False, True}

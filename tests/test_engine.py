@@ -636,3 +636,47 @@ def test_grouped_env_choices_step_alike_on_random_scenarios(doc):
     except (InputError, CapExceeded):
         assume(False)
     assert_grouped_choices_step_alike(ctx, runs)
+
+
+# -- the per-context tables of `step` and `_choice_space` --------------------
+
+def test_filled_tables_answer_as_fresh_calls(contexts):
+    for name, ctx in contexts.items():
+        filled = replace(ctx)
+        count_choice_tree(filled)  # walks every edge with these tables
+        assert filled.records and filled.choices, name
+        for (i, h), opts in filled.choices.items():
+            assert opts == ctx.protocol(i)(h), (name, i, h)
+        nodes = {(t, s) for r in enumerate_runs(ctx)
+                 for t, s in enumerate(r.states[:-1])}
+        for t, state in nodes:
+            env_opts, agent_opts = engine._choice_space(filled, state, t)
+            assert agent_opts == [ctx.protocol(i)(h)
+                                  for i, h in enumerate(state.locals, 1)]
+            for X in env_opts:
+                for combo in itertools.product(*agent_opts):
+                    got, want = (
+                        step(c, state, t, X, combo, validate=False)
+                        for c in (filled, replace(ctx)))
+                    assert (got.env, *engine.future_key(t, got)) == \
+                        (want.env, *engine.future_key(t, want)), name
+
+
+def test_enumeration_leaves_the_callers_tables_empty(contexts):
+    for name, ctx in contexts.items():
+        fresh = replace(ctx)
+        enumerate_runs(fresh)
+        assert (fresh.records, fresh.choices, fresh.labels,
+                fresh.summaries) == ({}, {}, {}, {}), name
+        # a seeded run fills the tables of the context it is given
+        seeded_run(fresh, 0)
+        assert fresh.records and fresh.choices, name
+
+
+def test_a_forced_choice_needs_no_hash(monkeypatch):
+    def no_hash(*args):
+        raise AssertionError("hashed a forced choice")
+
+    monkeypatch.setattr(engine.hashlib, "sha256", no_hash)
+    for seed in range(-50, 500):
+        assert _pick(seed, seed % 9 - 1, seed % 5, 1) == 0

@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from byzlab.haps import (
-    External, GExternal, GRecv, GSend, Go, LocalHistory, Recv, Send, Sleep,
-    apply_round, fail, globalize, initial_state, localize,
+    FAULT_KINDS, ByzAction, External, GExternal, GRecv, GSend, Go,
+    LocalHistory, Recv, Send, Sleep, apply_round, compile_round, fail,
+    globalize, initial_state, join_round, localize,
 )
-from tests.conftest import perceived, replay_local, update_agent
+from tests.conftest import (
+    global_hap_strategy, perceived, replay_local, update_agent,
+)
 
 agents = st.integers(min_value=1, max_value=5)
 msgs = st.text(alphabet="abc", min_size=1, max_size=3)
@@ -91,3 +94,39 @@ def test_fail_is_the_empty_byzantine_action():
     g = fail(2)
     assert g.agent == 2 and g.performed is None and g.recorded is None
     assert localize(g) is None
+
+
+S = GSend(1, 2, "m", 0, 0)
+
+
+@given(st.lists(st.frozensets(global_hap_strategy(st.integers(1, 3), msgs),
+                              max_size=6), max_size=4))
+@example([frozenset({Go(1)}), frozenset({Go(2), Go(3)})])  # go only
+@example([frozenset({S}), frozenset({S, GRecv(2, 1, "m", S)})])  # no go
+def test_compiled_rounds_join_as_the_reference_updates(records):
+    # each record compiled once and joined onto two states
+    compiled = [compile_round(rnd) for rnd in records]
+    finals = []
+    for initials in (("a", "b", "c"), ("x", "y", "z")):
+        state = initial_state(initials)
+        for rnd, rec in zip(records, compiled):
+            before, state = state, join_round(state, rec)
+            assert state == apply_round(before, rnd)
+        assert state.env == tuple(records)
+        for i in (1, 2, 3):
+            assert state.local(i) == replay_local(i, state.env, initials[i - 1])
+        every = [g for rnd in records for g in rnd]
+        assert state.sent == {g for g in every if isinstance(g, GSend)} | {
+            g.performed for g in every if isinstance(g, ByzAction)} - {None}
+        assert state.delivered == {g.gmi for g in every
+                                   if isinstance(g, GRecv)} - {None}
+        assert state.faulty == {g.agent for g in every
+                                if isinstance(g, FAULT_KINDS)}
+        finals.append(state)
+    # each appended round is the compiled record's own set
+    for i in (1, 2, 3):
+        own = [haps for _, rounds, *_ in compiled for j, haps in rounds
+               if j == i]
+        for final in finals:
+            assert len(own) == len(final.local(i).rounds)
+            assert all(x is y for x, y in zip(own, final.local(i).rounds))

@@ -12,7 +12,7 @@ import byzlab
 from byzlab import cli
 from byzlab.chains import MAX_PACKING_INPUT
 from byzlab.cli import main
-from byzlab.engine import seeded_run
+from byzlab.engine import count_choice_tree, seeded_run
 from byzlab.formulas import MAX_DEPTH
 from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
 from byzlab.serial import InputError
@@ -862,3 +862,15 @@ def test_fuzzed_trace_reads_or_raises_trace_error(tmp_path, name, data):
         read_trace(str(p))
     except InputError:
         pass
+
+
+def test_cli_validate_counts_leaves_from_the_trust_check(capsys, monkeypatch):
+    # a scenario with a trust table walks the choice tree once
+    leaves = count_choice_tree(load_scenario(scenario_path("s05_relay")).ctx)
+
+    def walked_again(ctx):
+        raise AssertionError("count_choice_tree walked the tree again")
+
+    monkeypatch.setattr(cli, "count_choice_tree", walked_again)
+    assert main(["validate", scenario_path("s05_relay")]) == 0
+    assert json.loads(capsys.readouterr().out)["choice_tree_leaves"] == leaves

@@ -1,18 +1,18 @@
 import hashlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from byzlab.engine import seeded_run
 from byzlab.haps import (
-    ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go, Hib, Recv,
-    Send, Sleep, fail,
+    External, GlobalState, GRecv, LocalHistory, Recv, Run, Send,
 )
 from byzlab.scenario import load_scenario
-from byzlab.serial import FORMS, InputError, decode, hap_key, parse_json, to_json
-from byzlab.trace import trace_lines
-from tests.conftest import SCENARIO_NAMES, scenario_path
+from byzlab.serial import (
+    FORMS, InputError, decode, hap_key, hapset_to_json, parse_json, to_json,
+)
+from byzlab.trace import _dumps, trace_lines
+from tests.conftest import SCENARIO_NAMES, global_hap_strategy, scenario_path
 
 agents = st.integers(min_value=1, max_value=5)
 msgs = st.text(alphabet="abcxyz", min_size=1, max_size=4)
@@ -24,21 +24,7 @@ local_haps = st.one_of(
     st.builds(External, msgs),
 )
 
-gsends = st.builds(GSend, agents, agents, msgs, st.integers(0, 3), times)
-
-global_haps = st.one_of(
-    gsends,
-    st.builds(lambda s: GRecv(s.to, s.agent, s.msg, s), gsends),
-    st.builds(GRecv, agents, agents, msgs),          # unresolved template
-    st.builds(GExternal, agents, msgs),
-    st.builds(Go, agents), st.builds(Sleep, agents), st.builds(Hib, agents),
-    st.builds(fail, agents),
-    # a byzantine agent's sends are its own
-    st.builds(lambda p, r: ByzAction(p.agent, p, replace(r, agent=p.agent)),
-              gsends, gsends),
-    st.builds(lambda p: ByzAction(p.agent, p, None), gsends),
-    st.builds(lambda i, e: ByzEvent(i, GExternal(i, e)), agents, msgs),
-)
+global_haps = global_hap_strategy(agents, msgs, times)
 
 
 @given(local_haps)
@@ -180,3 +166,32 @@ def test_json_nesting_is_bounded_on_every_python():
     assert len(parse_json("[" + ",".join(["[]"] * 2000) + "]", "w")) == 2000
     with pytest.raises(InputError, match="w: JSON nested too deeply"):
         parse_json("[" * 1100 + "]" * 1100, "w")
+
+
+def assert_round_lines_encode_once(run, name):
+    """Each round line of `run`'s trace is the text `_dumps` writes of
+    the record's `hapset_to_json` forms."""
+    lines = trace_lines(run, name, 0)
+    assert len(lines) == 1 + run.horizon
+    for t, (line, rnd) in enumerate(zip(lines[1:], run.state(run.horizon).env)):
+        assert line == _dumps({"haps": hapset_to_json(rnd), "kind": "round",
+                               "t": t}), (name, t)
+
+
+def test_round_lines_match_the_json_encoder_on_the_corpus(suite):
+    for name, (_, runs, _) in suite.items():
+        for run in runs:
+            assert_round_lines_encode_once(run, name)
+
+
+# message ids with non-ASCII text, quotes, backslashes and control characters
+odd_msgs = st.text(alphabet=st.sampled_from(
+    'ab"\\/\x00\x1f\x7f\t\n\u00e9\u2028\u4e2d\U0001f600'), min_size=1, max_size=5)
+
+
+@given(st.lists(st.frozensets(global_hap_strategy(agents, odd_msgs, times),
+                              max_size=6), max_size=3))
+def test_round_lines_match_the_json_encoder_on_odd_messages(records):
+    final = GlobalState(tuple(records), tuple(
+        LocalHistory(lam) for lam in ("a", "\u00e9", '"', "\\", "\n")))
+    assert_round_lines_encode_once(Run((final,) * (len(records) + 1)), "odd")

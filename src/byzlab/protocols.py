@@ -8,13 +8,16 @@ history, so scenarios stay readable while the table remains finite.
 Environment protocols map each timestamp to a finite menu of coherent
 event sets.  The closure properties (fallible, correctable, delayable,
 gullible) are written once, as the moves a closed menu must admit from
-each of its sets: `close_menu` saturates a base menu under them and
-`check_closure_properties` audits a context's menus against them.
+each of its sets: `check_closure_properties` audits a context's menus
+against them, and `close_menu` closes each agent's part of a t-coherent
+base set under them and takes the product of the closed parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Dict, Tuple
 
 from .haps import (
@@ -56,13 +59,8 @@ class AgentProtocol:
         keeps obvious-fault detection sound (a listed message is never
         branded obviously faulty).
         """
-        out = set()
-        for rule in self.rules:
-            for choice in rule.choices:
-                for a in choice:
-                    if isinstance(a, Send) and a.to == to:
-                        out.add(a.msg)
-        return frozenset(out)
+        return frozenset(a.msg for rule in self.rules for choice in rule.choices
+                         for a in choice if isinstance(a, Send) and a.to == to)
 
 
 # Guards are the tuples (operator, *arguments) of `serial.FORMS`.
@@ -140,9 +138,9 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
     fake_exts = set()
     sys_seen = set()
     for g in S:
-        if isinstance(g, ByzAction) and g.performed is not None:
-            if g.performed.sent_at != t:
-                return False
+        if isinstance(g, ByzAction) and g.performed is not None \
+                and g.performed.sent_at != t:
+            return False
         if isinstance(g, (Go, Sleep, Hib)):
             if g.agent in sys_seen:
                 return False
@@ -157,17 +155,7 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
                 fake_recvs.add((ev.agent, ev.frm, ev.msg))
         if isinstance(g, GRecv):
             recvs.add((g.agent, g.frm, g.msg))
-    if exts & fake_exts:
-        return False
-    if recvs & fake_recvs:
-        return False
-    return True
-
-
-def _subsets(items: frozenset):
-    """Every subset of `items`, made as it is read."""
-    for mask in range(1 << len(items)):
-        yield frozenset(g for k, g in enumerate(items) if mask >> k & 1)
+    return not (exts & fake_exts or recvs & fake_recvs)
 
 
 def _closure_moves(X: frozenset, alphabet: Dict[AgentId, frozenset],
@@ -187,35 +175,47 @@ def _closure_moves(X: frozenset, alphabet: Dict[AgentId, frozenset],
         if (i, stripped) in joined:
             continue
         joined.add((i, stripped))
-        for Y in _subsets(alpha):
+        for Y in chain.from_iterable(  # each subset, made as it is read
+                combinations(alpha, k) for k in range(len(alpha) + 1)):
             if (i, "gullible") in found:
                 break
-            yield i, "gullible", stripped | Y
+            yield i, "gullible", stripped.union(Y)
 
 
 def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
-    """Saturate a menu under the four agent-fault closure properties:
-    the fixpoint of every t-coherent closure move.  The closure comes
-    back unordered; `EnvProtocol` orders it.  ValueError as soon as it
-    holds more than `cap` sets.
-    """
+    """Saturate a menu of t-coherent base sets under the four closure
+    properties: each base set closes to the product of its agents'
+    parts, each closed under its agent's moves.  ValueError for a base
+    set that is not t-coherent, or as soon as the closure holds more
+    than `cap` sets.  The closure comes back unordered; `EnvProtocol`
+    orders it."""
     too_many = f"menu closure at t={t} exceeds cap {cap}"
-    alphabet, joined = fault_alphabet(base, n), set()
-    seen = {frozenset(X) for X in base}
-    if len(seen) > cap:
-        raise ValueError(too_many)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for X in frontier:
-            for _, _, C in _closure_moves(X, alphabet, joined):
+    alphabet = fault_alphabet(base, n)
+
+    @lru_cache(maxsize=None)
+    def closed_part(i, X_i):
+        # each part maps one-to-one into the closure: past `cap` is final
+        seen, todo, joined = {X_i}, [X_i], set()
+        while todo:
+            for _, _, C in _closure_moves(todo.pop(), {i: alphabet[i]}, joined):
                 if C not in seen and check_t_coherent(C, t):
                     seen.add(C)
-                    new.append(C)
+                    todo.append(C)
                     if len(seen) > cap:
                         raise ValueError(too_many)
-        frontier = new
-    return frozenset(seen)
+        return seen
+
+    menu = set()
+    for k, X in enumerate(base):
+        if not check_t_coherent(X, t):
+            raise ValueError(f"menu base set {k} is not {t}-coherent")
+        fixed = frozenset(g for g in X if g.agent not in alphabet)
+        for pick in product((fixed,), *(closed_part(i, frozenset(
+                g for g in X if g.agent == i)) for i in alphabet)):
+            menu.add(frozenset().union(*pick))
+            if len(menu) > cap:
+                raise ValueError(too_many)
+    return frozenset(menu)
 
 
 def check_closure_properties(ctx) -> Dict[AgentId, Dict[str, bool]]:

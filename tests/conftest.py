@@ -12,6 +12,7 @@ from byzlab.haps import (
     LocalHistory, Sleep, fail, is_event, localize,
 )
 from byzlab.oracle import InterpretedSystem
+from byzlab.protocols import _closure_moves, check_t_coherent, fault_alphabet
 from byzlab.scenario import load_scenario, scenario_from_json
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -54,6 +55,28 @@ def shorten_chain(chain):
                 break
             seen[a] = pos
     return tuple(out)
+
+
+def reference_close_menu(base, n, t, cap=4096):
+    """The menu closure as first written: a breadth-first search over
+    whole sets, which `protocols.close_menu` is checked against."""
+    too_many = f"menu closure at t={t} exceeds cap {cap}"
+    alphabet, joined = fault_alphabet(base, n), set()
+    seen = {frozenset(X) for X in base}
+    if len(seen) > cap:
+        raise ValueError(too_many)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for X in frontier:
+            for _, _, C in _closure_moves(X, alphabet, joined):
+                if C not in seen and check_t_coherent(C, t):
+                    seen.add(C)
+                    new.append(C)
+                    if len(seen) > cap:
+                        raise ValueError(too_many)
+        frontier = new
+    return frozenset(seen)
 
 
 def verify_persistent(system, phi):

@@ -1,18 +1,25 @@
+import copy
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzlab import check_closure_properties
 from byzlab.haps import (
-    External, GExternal, LocalHistory, Recv, Send, Sleep, fail,
+    ByzEvent, External, GExternal, GRecv, Go, Hib, LocalHistory, Recv,
+    Send, Sleep, fail,
 )
 from byzlab.protocols import (
     AgentProtocol, EnvProtocol, Rule, check_t_coherent, close_menu,
     fault_alphabet, guard_holds,
 )
 from byzlab.scenario import load_scenario, scenario_from_json
-from tests.conftest import perfbench_gen, scenario_path
+from byzlab.serial import order_sets
+from tests.conftest import (
+    global_hap_strategy, perfbench_gen, reference_close_menu, scenario_path,
+)
 
 
 def proto(i, *rules):
@@ -127,3 +134,103 @@ def test_close_menu_cap():
     base = (frozenset({Sleep(i) for i in range(1, 5)}),)
     with pytest.raises(ValueError):
         close_menu(base, 4, 0, cap=3)
+
+
+def test_close_menu_cap_counts_the_product():
+    # each agent's part closes to {}, {fail}, {sleep}, {sleep, fail}:
+    # no part passes the cap, but their product of 4^4 sets does
+    base = (frozenset({Sleep(i) for i in range(1, 5)}),)
+    parts = [(frozenset(), frozenset({fail(i)}), frozenset({Sleep(i)}),
+              frozenset({Sleep(i), fail(i)})) for i in range(1, 5)]
+    menu = frozenset(frozenset().union(*pick)
+                     for pick in itertools.product(*parts))
+    assert len(menu) == 256
+    with pytest.raises(ValueError, match="exceeds cap 255"):
+        close_menu(base, 4, 0, cap=255)
+    assert close_menu(base, 4, 0, cap=256) == menu
+
+
+def test_close_menu_rejects_an_incoherent_base_set():
+    # a product of parts is the closure only of t-coherent sets
+    base = (frozenset(), frozenset({Sleep(1), Hib(1)}))
+    with pytest.raises(ValueError, match="menu base set 1 is not 0-coherent"):
+        close_menu(base, 1, 0)
+
+
+def test_close_menu_holds_haps_of_other_agents_fixed():
+    # no move changes a hap whose agent lies outside 1..n
+    base = (frozenset({GExternal(3, "e"), Sleep(1)}),)
+    menu = close_menu(base, 2, 0)
+    assert menu == reference_close_menu(base, 2, 0)
+    assert all(GExternal(3, "e") in X for X in menu)
+
+
+def _closed_docs():
+    """(name, doc) of each scenario with a closed menu: the `closed`
+    benchmark systems of seeds 1-5, s07 and s15."""
+    for seed in range(1, 6):
+        for k, doc in enumerate(perfbench_gen().closed(seed)):
+            yield f"closed{seed}.{k}", doc
+    for name in ("s07_sleep", "s15_stripped_send"):
+        with open(scenario_path(name)) as fh:
+            yield name, json.load(fh)
+
+
+def test_loaded_menus_match_the_reference_closure():
+    checked = 0
+    for name, doc in _closed_docs():
+        open_doc = copy.deepcopy(doc)
+        for md in open_doc["env_protocol"]["menus"]:
+            md["close"] = False
+        closed = scenario_from_json(doc, name).ctx
+        base = scenario_from_json(open_doc, name).ctx
+        cap = doc.get("caps", {}).get("menu_cap", 4096)
+        for t, md in enumerate(doc["env_protocol"]["menus"]):
+            if md.get("close"):
+                ref = reference_close_menu(base.env(t), base.n, t, cap)
+                assert closed.env(t) == order_sets(ref), (name, t)
+                checked += 1
+    assert checked == 42
+
+
+PROBE_CAP = 200
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_close_menu_matches_reference(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    t = data.draw(st.integers(0, 2), label="t")
+    agents, msgs = st.integers(1, n), st.sampled_from(["a", "b"])
+    pool = data.draw(st.lists(global_hap_strategy(
+        agents, msgs, st.integers(0, 2)), min_size=1, max_size=6),
+        label="pool")
+    # each correct delivery or external with its fake, and every agent's
+    # system events, so that base sets conflict in many ways
+    pool += [ByzEvent(g.agent, g) for g in pool
+             if isinstance(g, (GRecv, GExternal))]
+    pool += [ev(i) for i in range(1, n + 1) for ev in (Go, Sleep, Hib)]
+    base = []
+    for draw in data.draw(st.lists(st.lists(st.sampled_from(pool),
+                                            max_size=6),
+                                   min_size=1, max_size=4), label="base"):
+        X = frozenset()
+        for g in draw:  # each base set is kept t-coherent
+            if check_t_coherent(X | {g}, t):
+                X |= {g}
+        base.append(X)
+    try:
+        size = len(close_menu(base, n, t, cap=PROBE_CAP))
+    except ValueError:
+        size = PROBE_CAP + 1
+    caps = [data.draw(st.integers(size, PROBE_CAP + 1), label="cap above")]
+    if size > 1:
+        caps.append(data.draw(st.integers(1, size - 1), label="cap below"))
+    for cap in caps:
+        outcomes = []
+        for close in (close_menu, reference_close_menu):
+            try:
+                outcomes.append(close(base, n, t, cap))
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1], cap

@@ -634,8 +634,9 @@ def test_menu_closure_is_lazy_in_the_fault_alphabet(tmp_path, close):
 
 
 def test_closure_walks_each_remainder_once(tmp_path):
-    # 10 fake externals of agent 1 close to a menu of 8,192 sets, but
-    # their gullible moves join only 4 remainders without agent 1
+    # 10 fake externals of agent 1 close to a menu of 8,192 sets, which
+    # the `validate` audit walks: their gullible moves join only 4
+    # remainders without agent 1
     with open(scenario_path("s01_quiet")) as fh:
         doc = json.load(fh)
     fakes = [["byz_event", 1, ["gext", 1, f"e{j}"]] for j in range(10)]

@@ -7,17 +7,19 @@ history, so scenarios stay readable while the table remains finite.
 
 Environment protocols map each timestamp to a finite menu of coherent
 event sets.  The closure properties (fallible, correctable, delayable,
-gullible) are written once, as the moves a closed menu must admit from
-each of its sets: `check_closure_properties` audits a context's menus
-against them, and `close_menu` closes each agent's part of a t-coherent
-base set under them and takes the product of the closed parts.
+gullible) move only agent i's part X_i of a set, which they close to
+X_i and its core (X_i without fault events), each with and without
+fail(i), and G_i, the t-coherent subsets of i's fault alphabet.
+`close_menu` takes the product of the closed parts; the audit
+`check_closure_properties` groups a menu's sets by what lies outside
+X_i and asks each group for those parts.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Dict, Tuple
 
 from .haps import (
@@ -158,60 +160,40 @@ def check_t_coherent(S: frozenset, t: Timestamp) -> bool:
     return not (exts & fake_exts or recvs & fake_recvs)
 
 
-def _closure_moves(X: frozenset, alphabet: Dict[AgentId, frozenset],
-                   joined: set, found=()):
-    """(agent i, property, set) for each move a closed menu must admit
-    from X: fallible adds fail(i), correctable drops i's fault events,
-    delayable drops all of i's events and gullible joins that remainder
-    with each subset of i's fault alphabet.  Those depend on X only via
-    the remainder, so they are made once per (i, remainder) in `joined`,
-    as they are read, and no more once (i, "gullible") is in `found`."""
-    for i, alpha in alphabet.items():
-        yield i, "fallible", X | {fail(i)}
-        yield i, "correctable", X - frozenset(
-            g for g in X if g.agent == i and isinstance(g, FAULT_KINDS))
-        stripped = X - frozenset(g for g in X if g.agent == i)
-        yield i, "delayable", stripped
-        if (i, stripped) in joined:
-            continue
-        joined.add((i, stripped))
-        for Y in chain.from_iterable(  # each subset, made as it is read
-                combinations(alpha, k) for k in range(len(alpha) + 1)):
-            if (i, "gullible") in found:
-                break
-            yield i, "gullible", stripped.union(Y)
+def _coherent_subsets(alpha: frozenset, t: Timestamp, limit: int) -> list:
+    """G_i: the t-coherent subsets of an agent's fault alphabet `alpha`,
+    empty set first, read no further than `limit` of them."""
+    subsets = map(frozenset, chain.from_iterable(
+        combinations(alpha, k) for k in range(len(alpha) + 1)))
+    return list(islice((Y for Y in subsets if check_t_coherent(Y, t)), limit))
 
 
 def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
     """Saturate a menu of t-coherent base sets under the four closure
-    properties: each base set closes to the product of its agents'
-    parts, each closed under its agent's moves.  ValueError for a base
-    set that is not t-coherent, or as soon as the closure holds more
-    than `cap` sets.  The closure comes back unordered; `EnvProtocol`
-    orders it."""
+    properties.  Agent i's moves change only its part X_i of a set, and
+    close it to X_i, its core (X_i without fault events), each with and
+    without fail(i), and G_i (`_coherent_subsets`).  Each base set
+    closes to the product of its agents' closed parts.  ValueError for
+    a base set that is not t-coherent, or as soon as the closure holds
+    more than `cap` sets.  The closure comes back unordered;
+    `EnvProtocol` orders it."""
     too_many = f"menu closure at t={t} exceeds cap {cap}"
-    alphabet = fault_alphabet(base, n)
-
-    @lru_cache(maxsize=None)
-    def closed_part(i, X_i):
-        # each part maps one-to-one into the closure: past `cap` is final
-        seen, todo, joined = {X_i}, [X_i], set()
-        while todo:
-            for _, _, C in _closure_moves(todo.pop(), {i: alphabet[i]}, joined):
-                if C not in seen and check_t_coherent(C, t):
-                    seen.add(C)
-                    todo.append(C)
-                    if len(seen) > cap:
-                        raise ValueError(too_many)
-        return seen
-
-    menu = set()
+    alphabet, gullible, menu = fault_alphabet(base, n), None, set()
     for k, X in enumerate(base):
         if not check_t_coherent(X, t):
             raise ValueError(f"menu base set {k} is not {t}-coherent")
-        fixed = frozenset(g for g in X if g.agent not in alphabet)
-        for pick in product((fixed,), *(closed_part(i, frozenset(
-                g for g in X if g.agent == i)) for i in alphabet)):
+        if gullible is None:  # every closed part of i holds all of G_i
+            gullible = {i: _coherent_subsets(alpha, t, cap + 1)
+                        for i, alpha in alphabet.items()}
+            if any(len(G) > cap for G in gullible.values()):
+                raise ValueError(too_many)
+        parts = [(frozenset(g for g in X if g.agent not in alphabet),)]
+        for i, alpha in alphabet.items():
+            X_i = frozenset(g for g in X if g.agent == i)
+            core = X_i - alpha
+            parts.append({X_i, X_i | {fail(i)}, core, core | {fail(i)},
+                          *gullible[i]})
+        for pick in product(*parts):
             menu.add(frozenset().union(*pick))
             if len(menu) > cap:
                 raise ValueError(too_many)
@@ -219,18 +201,29 @@ def close_menu(base, n: AgentId, t: Timestamp, cap: int = 4096) -> frozenset:
 
 
 def check_closure_properties(ctx) -> Dict[AgentId, Dict[str, bool]]:
-    """Check fallible/correctable/delayable/gullible per agent, all t: a
-    property fails where one of its t-coherent moves leaves the menu.
-    The moves of a property already found false are not tested."""
-    found = set()  # (agent, property) pairs found false
+    """Check fallible/correctable/delayable/gullible per agent, all t.
+    Each menu must hold t-coherent sets only, as the loader ensures.
+    Agent i's moves keep a set's rest, its other agents' parts, so the
+    sets are grouped by rest: a property fails where a group with part
+    X_i lacks X_i + fail(i) (fallible), X_i without its fault events
+    (correctable), the empty part (delayable) or a member of G_i
+    (gullible).  G_i is read to |menu| + 1 members: no group holds more."""
+    holds = {i: dict.fromkeys(
+        ("fallible", "correctable", "delayable", "gullible"), True)
+        for i in range(1, ctx.n + 1)}
     for t in range(ctx.horizon):
-        menu, joined = set(ctx.env(t)), set()
-        alphabet = fault_alphabet(menu, ctx.n)
-        for X in menu:
-            for i, prop, C in _closure_moves(X, alphabet, joined, found):
-                if (i, prop) not in found and C not in menu \
-                        and check_t_coherent(C, t):
-                    found.add((i, prop))
-    return {i: {prop: (i, prop) not in found for prop in
-                ("fallible", "correctable", "delayable", "gullible")}
-            for i in range(1, ctx.n + 1)}
+        menu = ctx.env(t)
+        for i, alpha in fault_alphabet(menu, ctx.n).items():
+            groups = defaultdict(set)  # rest -> i's parts beside it
+            for X in menu:
+                X_i = frozenset(g for g in X if g.agent == i)
+                groups[X - X_i].add(X_i)
+            G = _coherent_subsets(alpha, t, len(menu) + 1)
+            ok, f = holds[i], fail(i)
+            for parts in groups.values():
+                ok["delayable"] &= frozenset() in parts
+                ok["gullible"] &= parts.issuperset(G)
+                for X_i in parts:
+                    ok["fallible"] &= X_i | {f} in parts
+                    ok["correctable"] &= X_i - alpha in parts
+    return holds

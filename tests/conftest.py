@@ -1,6 +1,7 @@
 import importlib.util
 import os
 from dataclasses import replace
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from byzlab.haps import (
     LocalHistory, Sleep, fail, is_event, localize,
 )
 from byzlab.oracle import InterpretedSystem
-from byzlab.protocols import _closure_moves, check_t_coherent, fault_alphabet
+from byzlab.protocols import check_t_coherent, fault_alphabet
 from byzlab.scenario import load_scenario, scenario_from_json
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -57,6 +58,48 @@ def shorten_chain(chain):
     return tuple(out)
 
 
+def closure_moves(X: frozenset, alphabet, joined: set, found=()):
+    """(agent i, property, set) for each move a closed menu must admit
+    from X: fallible adds fail(i), correctable drops i's fault events,
+    delayable drops all of i's events and gullible joins that remainder
+    with each subset of i's fault alphabet.  Those depend on X only via
+    the remainder, so they are made once per (i, remainder) in `joined`,
+    as they are read, and no more once (i, "gullible") is in `found`."""
+    for i, alpha in alphabet.items():
+        yield i, "fallible", X | {fail(i)}
+        yield i, "correctable", X - frozenset(
+            g for g in X if g.agent == i and isinstance(g, FAULT_KINDS))
+        stripped = X - frozenset(g for g in X if g.agent == i)
+        yield i, "delayable", stripped
+        if (i, stripped) in joined:
+            continue
+        joined.add((i, stripped))
+        for Y in chain.from_iterable(  # each subset, made as it is read
+                combinations(alpha, k) for k in range(len(alpha) + 1)):
+            if (i, "gullible") in found:
+                break
+            yield i, "gullible", stripped.union(Y)
+
+
+def reference_closure_audit(ctx):
+    """The closure audit as first written: every move from every set of
+    each menu, which `protocols.check_closure_properties` is checked
+    against.  A property fails where one of its t-coherent moves leaves
+    the menu; the moves of a property already found false are skipped."""
+    found = set()  # (agent, property) pairs found false
+    for t in range(ctx.horizon):
+        menu, joined = set(ctx.env(t)), set()
+        alphabet = fault_alphabet(menu, ctx.n)
+        for X in menu:
+            for i, prop, C in closure_moves(X, alphabet, joined, found):
+                if (i, prop) not in found and C not in menu \
+                        and check_t_coherent(C, t):
+                    found.add((i, prop))
+    return {i: {prop: (i, prop) not in found for prop in
+                ("fallible", "correctable", "delayable", "gullible")}
+            for i in range(1, ctx.n + 1)}
+
+
 def reference_close_menu(base, n, t, cap=4096):
     """The menu closure as first written: a breadth-first search over
     whole sets, which `protocols.close_menu` is checked against."""
@@ -69,7 +112,7 @@ def reference_close_menu(base, n, t, cap=4096):
     while frontier:
         new = []
         for X in frontier:
-            for _, _, C in _closure_moves(X, alphabet, joined):
+            for _, _, C in closure_moves(X, alphabet, joined):
                 if C not in seen and check_t_coherent(C, t):
                     seen.add(C)
                     new.append(C)

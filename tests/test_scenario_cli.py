@@ -633,15 +633,29 @@ def test_menu_closure_is_lazy_in_the_fault_alphabet(tmp_path, close):
         assert not json.loads(proc.stdout)["closure"]["1"]["gullible"]
 
 
-def test_closure_walks_each_remainder_once(tmp_path):
-    # 10 fake externals of agent 1 close to a menu of 8,192 sets, which
-    # the `validate` audit walks: their gullible moves join only 4
-    # remainders without agent 1
+WIDE_MENUS = [
+    # 10 fake externals of agent 1 (3 agents): 2^11 parts of agent 1
+    # beside 4 parts of the others
+    pytest.param(3, [[["byz_event", 1, ["gext", 1, f"e{j}"]]
+                      for j in range(10)]], 8192, id="one_agent"),
+    # 2 fake externals of each of 4 agents, and one base set of a correct
+    # external per agent: 10 parts per agent
+    pytest.param(4, [[["byz_event", i, ["gext", i, f"e{j}"]]
+                      for i in range(1, 5) for j in range(2)],
+                     [["gext", i, "c"] for i in range(1, 5)]], 10000,
+                 id="four_agents"),
+]
+
+
+@pytest.mark.parametrize("agents, sets, size", WIDE_MENUS)
+def test_closure_walks_each_remainder_once(tmp_path, agents, sets, size):
+    # the sets close to a wide menu, which the `validate` audit groups
+    # by each agent's rest, the other agents' parts, once per agent
     with open(scenario_path("s01_quiet")) as fh:
         doc = json.load(fh)
-    fakes = [["byz_event", 1, ["gext", 1, f"e{j}"]] for j in range(10)]
-    doc.update(f=1, horizon=1, caps={"menu_cap": 10000},
-               env_protocol={"menus": [{"close": True, "sets": [fakes]}]})
+    doc.update(agents=agents, initial_states=[["s"] * agents], f=1,
+               horizon=1, caps={"menu_cap": 10000},
+               env_protocol={"menus": [{"close": True, "sets": sets}]})
     p = tmp_path / "fakes.json"
     p.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -649,7 +663,7 @@ def test_closure_walks_each_remainder_once(tmp_path):
     assert time.perf_counter() - start < 5
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["menu_sizes"] == [8192]
+    assert report["menu_sizes"] == [size]
     assert "warnings" not in report
 
 

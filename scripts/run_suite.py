@@ -14,8 +14,8 @@ round-0 menu repeated for H rounds, and prints one row: runs, distinct
 states, expanded distinct states (the states enumeration stepped from),
 histories, verdicts, the seconds spent enumerating, classing every
 agent's histories and cross-checking, and the process's peak RSS.
-Through the run list, on a 2-CPU VM under Python 3.11, H=5 takes
-about half a second and 93 MB, and H=6 about 4.5 seconds and 600 MB.
+H runs from 1 to byzlab.scenario.MAX_HORIZON.  ROADMAP.md's baseline
+table gives these figures for H=4, 5 and 6 on one machine.
 
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """
@@ -35,7 +35,7 @@ import gen
 from byzlab.detect import cross_check
 from byzlab.engine import enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
-from byzlab.scenario import load_scenario, scenario_from_json
+from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
 
 SCENARIO_DIR = os.path.join(HERE, "..", "scenarios")
 
@@ -97,15 +97,17 @@ def stress(horizon):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scenario", help="run a single scenario by name")
-    ap.add_argument("--stress", type=int, metavar="H",
-                    help="run the stress family at horizon H instead")
+    which = ap.add_mutually_exclusive_group()
+    which.add_argument("--scenario", metavar="NAME",
+                       help="run a single scenario by name")
+    which.add_argument("--stress", type=int, metavar="H",
+                       help="run the stress family at horizon H instead")
     ap.add_argument("--json", action="store_true", help="machine output")
     args = ap.parse_args()
 
     if args.stress is not None:
-        if args.stress < 1:
-            ap.error("--stress needs a positive horizon")
+        if not 1 <= args.stress <= MAX_HORIZON:
+            ap.error(f"--stress needs a horizon in 1..{MAX_HORIZON}")
         row = stress(args.stress)
         if args.json:
             print(json.dumps(row, indent=2))

@@ -135,17 +135,12 @@ def _materialize(state: GlobalState, X_eps: frozenset, templates,
 # The five-phase step
 
 def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
-         env_choice: frozenset, agent_choices, validate: bool = True) -> GlobalState:
-    """Execute one round given the adversary's choices.  `validate`
-    checks them against the menu and the protocols, called afresh;
-    the round record is compiled once per context (`ctx.records`)."""
-    if validate:
-        if env_choice not in ctx.env(t):
-            raise ValueError(f"environment choice not offered at t={t}")
-        for i in range(1, ctx.n + 1):
-            if frozenset(agent_choices[i - 1]) not in ctx.protocol(i)(state.local(i)):
-                raise ValueError(f"agent {i} choice outside protocol range")
-
+         env_choice: frozenset, agent_choices) -> GlobalState:
+    """Execute one round given the adversary's choices.  The env set and
+    each agent's choice must be ones `_choice_space(ctx, state, t)`
+    offers, which is the one definition of what the adversary may
+    choose; `step` does not check them.  The round record is compiled
+    once per context (`ctx.records`)."""
     # Labeling, once per (agent, t, choice): each send its own identifier.
     alphas = []
     for i, X in enumerate(agent_choices, start=1):
@@ -266,7 +261,7 @@ def enumerate_runs(ctx: AgentContext) -> List[Run]:
                     children += children[first * m:first * m + m]
                     continue
                 for combo in combos:
-                    s = step(ctx, state, t, env_opts[k], combo, validate=False)
+                    s = step(ctx, state, t, env_opts[k], combo)
                     children.append((s.env[-1], s.locals, s.sent,
                                      s.delivered, s.faulty))
             table[key] = children
@@ -313,8 +308,7 @@ def count_choice_tree(ctx: AgentContext) -> int:
                 edges += 1
                 if edges > ctx.node_cap:
                     raise CapExceeded(ctx.node_cap)
-                total += count(step(ctx, state, t, env_choice, combo,
-                                    validate=False), t + 1)
+                total += count(step(ctx, state, t, env_choice, combo), t + 1)
         return total
 
     return sum(count(initial_state(ins), 0) for ins in ctx.initials)
@@ -340,7 +334,7 @@ def seeded_run(ctx: AgentContext, seed: int) -> Run:
         env_choice = env_opts[_pick(seed, t, 0, len(env_opts))]
         combo = [opts[_pick(seed, t, 1 + i, len(opts))]
                  for i, opts in enumerate(agent_opts)]
-        state = step(ctx, state, t, env_choice, combo, validate=False)
+        state = step(ctx, state, t, env_choice, combo)
         states.append(state)
     return Run(tuple(states))
 

@@ -113,10 +113,11 @@ def test_budget_filter_counts_sleep():
 
 
 def test_action_filter_requires_go():
-    ctx = simple_ctx()
+    env = EnvProtocol(((frozenset(), frozenset({Go(1)})),))
+    ctx = simple_ctx(env=env)
     s0 = initial_state(("a", "b"))
     sends = [frozenset({Send(2, "m")}), frozenset()]
-    idle = step(ctx, s0, 0, frozenset(), sends, validate=False)
+    idle = step(ctx, s0, 0, frozenset(), sends)
     assert idle.env == (frozenset(),)
     went = step(ctx, s0, 0, frozenset({Go(1)}), sends)
     assert went.env == (frozenset({Go(1), GSend(1, 2, "m", 0, 0)}),)
@@ -135,16 +136,6 @@ def test_step_records_send_and_delivery():
     assert Recv(1, "m") in s2.local(2)
     # no go(1) at t=1: the offered send was filtered out
     assert s1.local(1) == s2.local(1)
-
-
-def test_step_rejects_off_menu_choices():
-    ctx = simple_ctx()
-    s0 = initial_state(("a", "b"))
-    with pytest.raises(ValueError):
-        step(ctx, s0, 0, frozenset({Go(2)}), [frozenset(), frozenset()])
-    with pytest.raises(ValueError):
-        step(ctx, s0, 0, frozenset({Go(1)}), [frozenset({Send(2, "zzz")}),
-                                              frozenset()])
 
 
 def test_enumerate_covers_choice_tree():
@@ -656,7 +647,7 @@ def test_filled_tables_answer_as_fresh_calls(contexts):
             for X in env_opts:
                 for combo in itertools.product(*agent_opts):
                     got, want = (
-                        step(c, state, t, X, combo, validate=False)
+                        step(c, state, t, X, combo)
                         for c in (filled, replace(ctx)))
                     assert (got.env, *engine.future_key(t, got)) == \
                         (want.env, *engine.future_key(t, want)), name

@@ -593,6 +593,30 @@ def test_horizon_is_bounded(tmp_path, capsys):
         assert "error: horizon: " in capsys.readouterr().err, argv
 
 
+RUN_SUITE = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                         "run_suite.py")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--stress", "0"], f"--stress needs a horizon in 1..{MAX_HORIZON}"),
+    (["--stress", str(MAX_HORIZON + 1)],
+     f"--stress needs a horizon in 1..{MAX_HORIZON}"),
+    (["--scenario", "s01_quiet", "--stress", "2"],
+     "argument --stress: not allowed with argument --scenario"),
+    (["--scenario", "nope", "--stress", "2"],
+     "argument --stress: not allowed with argument --scenario"),
+], ids=["stress_0", "stress_past_max_horizon", "scenario_and_stress",
+        "unknown_scenario_and_stress"])
+def test_run_suite_rejects_bad_arguments(argv, message):
+    # exit 2 with a usage message before any system is built
+    proc = subprocess.run([sys.executable, RUN_SUITE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: run_suite.py ")
+    assert f"run_suite.py: error: {message}\n" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def _byzlab_limited(argv, megabytes=256, seconds=20):
     """`byzlab argv` in a child process held to `megabytes` of address
     space, so that a closure that grows exponentially fails fast."""

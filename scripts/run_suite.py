@@ -17,6 +17,10 @@ agent's histories and cross-checking, and the process's peak RSS.
 H runs from 1 to byzlab.scenario.MAX_HORIZON.  ROADMAP.md's baseline
 table gives these figures for H=4, 5 and 6 on one machine.
 
+Either mode exits 1 on a refuted verdict, and 3 with one `error:` line
+on stderr when enumeration passes a scenario's node cap or a detector's
+packing passes its cap, as `byzlab` does.
+
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """
 
@@ -32,8 +36,10 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
 
 import gen
+from byzlab.chains import PackingCapExceeded
+from byzlab.cli import EXIT_CAP
 from byzlab.detect import cross_check
-from byzlab.engine import enumerate_runs, future_key
+from byzlab.engine import CapExceeded, enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
 
@@ -104,7 +110,14 @@ def main():
                        help="run the stress family at horizon H instead")
     ap.add_argument("--json", action="store_true", help="machine output")
     args = ap.parse_args()
+    try:
+        return run(ap, args)
+    except (CapExceeded, PackingCapExceeded) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
 
+
+def run(ap, args):
     if args.stress is not None:
         if not 1 <= args.stress <= MAX_HORIZON:
             ap.error(f"--stress needs a horizon in 1..{MAX_HORIZON}")

@@ -14,7 +14,9 @@ distinct state once and shares it between runs), and a subformula whose
 value is a function of the state is evaluated once per node.  Only `G`
 outside any `K` depends on the point itself and is kept per point;
 knowledge is kept per history of its agent, and the classes of histories
-are built per node.
+are built per node.  An all-points `check` of a formula free of a `G`
+outside any `K` evaluates it once per node and expands the values to the
+points; only such a `G` walks the points.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class InterpretedSystem:
                     row.append(node)
             self._node_at.append(row)
         self.nodes = len(self._states)  # distinct states among the points
-        # every (point, node) in point order, built with the first classes
+        # every (point, node) in point order, built when first asked for
         self._points: Optional[List[tuple]] = None
 
     # -- points ------------------------------------------------------------
@@ -84,13 +86,16 @@ class InterpretedSystem:
             for t in range(self.horizon + 1):
                 yield (ridx, t)
 
+    def _point_nodes(self) -> List[tuple]:
+        if self._points is None:
+            self._points = [((ridx, t), node)
+                            for ridx, row in enumerate(self._node_at)
+                            for t, node in enumerate(row)]
+        return self._points
+
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
             with collector_paused():  # the build makes no reference cycles
-                if self._points is None:
-                    self._points = [((ridx, t), node)
-                                    for ridx, row in enumerate(self._node_at)
-                                    for t, node in enumerate(row)]
                 # one hash per node; classes are numbered, and each one's
                 # firsts listed, in the order of the nodes' first points
                 ids: Dict[LocalHistory, int] = {}
@@ -100,7 +105,7 @@ class InterpretedSystem:
                 firsts: List[List[Point]] = [[] for _ in ids]
                 for k, p in zip(index, self._first_at):
                     firsts[k].append(p)
-                for p, node in self._points:
+                for p, node in self._point_nodes():
                     members[index[node]].append(p)
                 self._classes[agent] = dict(zip(ids, members))
                 self._class_index[agent] = (index, members, firsts)
@@ -201,14 +206,25 @@ class InterpretedSystem:
         return out
 
     def check(self, phi: Formula, p: Optional[Point] = None):
-        """Evaluate at one point or all points; returns (verdicts, warning)."""
+        """Evaluate at one point or all points; returns (verdicts, warning).
+
+        Over all points, a formula free of a `G` outside any `K` is
+        evaluated once per node, at the node's first point, and its value
+        expanded to the node's points.  Nodes are numbered in the order of
+        their first points, so values are computed, and the first error
+        raised, in the order a walk of the points would meet them."""
         warning = None
         fid = self._compile(phi)
         if not self.quiescent and self._table[fid][4]:
             warning = ("formula contains G and the final round is not "
                        "quiescent; its value may differ on a longer horizon")
-        pts = [self._point(p)] if p is not None else list(self.points())
-        return [(q, self._value(fid, *q)) for q in pts], warning
+        if p is not None:
+            return [(p, self._value(fid, *self._point(p)))], warning
+        if self._table[fid][3]:
+            return [(q, self._value(fid, *q))
+                    for q, _ in self._point_nodes()], warning
+        values = [self._value(fid, *q) for q in self._first_at]
+        return [(q, values[node]) for q, node in self._point_nodes()], warning
 
     # -- the trust contract ------------------------------------------------
 

@@ -221,6 +221,7 @@ REFERENCE_FORMULAS = [
     "(G(correct(2)) & B[1](faulty(2)))",
     "faulty(2,1)", "fake(J,1,HAP)", "occ_c(J,1,HAP)", "K[1](fake(J,1,HAP))",
     "G(correct(1,2))", "(faulty(1) -> occ_c(J,2,HAP))",
+    "(faulty(1) | correct(3,2))",
 ]
 
 
@@ -263,9 +264,24 @@ def test_oracle_matches_reference_evaluator(suite, name):
             assert InterpretedSystem(runs).check(phi)[0] == want, text
         else:
             raised.add(text)
+            # an all-points check raises the first error a walk of the
+            # points meets, and a one-point check matches eval there
+            with pytest.raises(AtomTimeError) as checked:
+                InterpretedSystem(runs).check(phi)
+            walk = InterpretedSystem(runs)
+            with pytest.raises(AtomTimeError) as walked:
+                [walk.eval(p, phi) for p in walk.points()]
+            assert str(checked.value) == str(walked.value), text
+            single = InterpretedSystem(runs)
+            for p, v in want:
+                got = _outcome(lambda q, f: single.check(f, q)[0], p, phi)
+                assert got == ([(p, v)] if isinstance(v, bool) else v), \
+                    (text, p)
         values = {}
         for (r, t), v in want:
             values.setdefault(id(runs[r].states[t]), set()).add(v)
         split = split or any(len(vs) > 1 for vs in values.values())
-    assert raised >= {"faulty(2,1)", "fake(J,1,HAP)", "K[1](fake(J,1,HAP))"}
+    # the last one raises at points past the first, on more than one node
+    assert raised >= {"faulty(2,1)", "fake(J,1,HAP)", "K[1](fake(J,1,HAP))",
+                      "(faulty(1) | correct(3,2))"}
     assert split == (name in SPLIT_SCENARIOS)

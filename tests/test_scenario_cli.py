@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import resource
@@ -615,6 +616,27 @@ def test_run_suite_rejects_bad_arguments(argv, message):
     assert proc.stderr.startswith("usage: run_suite.py ")
     assert f"run_suite.py: error: {message}\n" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_run_suite_exits_3_on_a_capped_stress_horizon(monkeypatch, capsys):
+    # the script puts src/ and perfbench/ first on sys.path when imported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("run_suite", RUN_SUITE)
+    run_suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_suite)
+    formulas = run_suite.gen.formulas
+
+    def capped(seed):
+        doc, rest = formulas(seed)
+        doc["caps"] = {**doc.get("caps", {}), "node_cap": 100}
+        return doc, rest
+
+    monkeypatch.setattr(run_suite.gen, "formulas", capped)
+    monkeypatch.setattr(sys, "argv", ["run_suite.py", "--stress", "3"])
+    assert run_suite.main() == cli.EXIT_CAP
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: enumeration exceeded 100 explored nodes\n"
 
 
 def _byzlab_limited(argv, megabytes=256, seconds=20):

@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
-"""Sweep the scenario corpus: enumerate, detect, cross-check.
+"""Confront the scenario corpus, or one stress system: enumerate, detect,
+cross-check.
 
-For every scenario under scenarios/ this enumerates the full system,
-runs the belief-gain fixpoint on every distinct local history, and
-cross-checks each verdict against the brute-force oracle.  `states`
-counts the distinct global states among the points, the nodes on which
-the oracle evaluates state formulas once.  Prints one
-summary row per scenario and exits non-zero on any refuted verdict.
+The corpus is every scenario under scenarios/, or `--scenario NAME`.
+`--stress H`, for H in 1..byzlab.scenario.MAX_HORIZON, instead builds
+one system of the stress family: the benchmark's `formulas` scenario
+(perfbench/gen.py, seed 1) with its round-0 menu repeated for H rounds.
+ROADMAP.md's baseline table gives its figures for H=4, 5 and 6.
 
-With --stress H it instead builds one system of the stress family, the
-benchmark's `formulas` scenario (perfbench/gen.py, seed 1) with its
-round-0 menu repeated for H rounds, and prints one row: runs, distinct
-states, expanded distinct states (the states enumeration stepped from),
-histories, verdicts, the seconds spent enumerating, classing every
-agent's histories and cross-checking, and the process's peak RSS.
-H runs from 1 to byzlab.scenario.MAX_HORIZON.  ROADMAP.md's baseline
-table gives these figures for H=4, 5 and 6 on one machine.
+Each system gives one row, of one schema in both modes: its runs and
+points, `states` (the distinct global states among the points, on which
+the oracle evaluates state formulas once), `expanded` (the distinct
+states enumeration stepped from), the distinct histories of all agents,
+the detector verdicts cross-checked against the brute-force oracle and
+the refuted ones, the seconds spent enumerating, classing every agent's
+histories, cross-checking and in all, and the process's peak RSS so
+far.  `--json` prints the corpus as a list of rows and a stress system
+as one row.
 
-Either mode exits 1 on a refuted verdict, and 3 with one `error:` line
-on stderr when enumeration passes a scenario's node cap or a detector's
-packing passes its cap, as `byzlab` does.
+Exit status: 1 on a refuted verdict; 3, with one `error:` line on
+stderr, when enumeration passes a scenario's node cap or a detector's
+packing passes its cap, as `byzlab` does; 141 when stdout closes early.
 
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """
@@ -37,7 +38,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
 
 import gen
 from byzlab.chains import PackingCapExceeded
-from byzlab.cli import EXIT_CAP
+from byzlab.cli import EXIT_CAP, EXIT_PIPE
 from byzlab.detect import cross_check
 from byzlab.engine import CapExceeded, enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
@@ -45,38 +46,17 @@ from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
 
 SCENARIO_DIR = os.path.join(HERE, "..", "scenarios")
 
-
-def sweep(name):
-    sc = load_scenario(os.path.join(SCENARIO_DIR, name + ".json"), name=name)
-    start = time.monotonic()
-    runs = enumerate_runs(sc.ctx)
-    system = InterpretedSystem(runs)
-    verdicts = cross_check(sc, system)
-    return {
-        "scenario": name, "n": sc.ctx.n, "f": sc.ctx.f,
-        "horizon": sc.ctx.horizon, "runs": len(runs),
-        "points": len(runs) * (system.horizon + 1),
-        "states": system.nodes,
-        "histories": sum(len(system.agent_classes(i))
-                         for i in range(1, sc.ctx.n + 1)),
-        "verdicts": len(verdicts),
-        "refuted": sum(not ok for *_, ok in verdicts),
-        "seconds": round(time.monotonic() - start, 3),
-    }
+# The keys of the text tables' columns.
+CORPUS_COLUMNS = ["scenario", "n", "f", "runs", "points", "states",
+                  "expanded", "histories", "verdicts", "refuted", "seconds"]
+STRESS_COLUMNS = ["horizon", "runs", "states", "expanded", "histories",
+                  "verdicts", "refuted", "enumerate_s", "classes_s",
+                  "cross_check_s", "peak_rss_mb"]
 
 
-STRESS_COLUMNS = [("horizon", 8), ("runs", 8), ("states", 8),
-                  ("expanded", 10), ("histories", 11), ("verdicts", 10),
-                  ("refuted", 9), ("enumerate_s", 13), ("classes_s", 11),
-                  ("cross_check_s", 15), ("peak_rss_mb", 13)]
-
-
-def stress(horizon):
-    doc, _ = gen.formulas(1)
-    menus = doc["env_protocol"]["menus"]
-    doc["env_protocol"]["menus"] = [menus[0]] * horizon
-    doc["horizon"] = horizon
-    sc = scenario_from_json(doc, f"stress{horizon}")
+def confront(sc):
+    """The row of scenario `sc`: enumerate its system, class every
+    agent's histories and cross-check each detector verdict."""
     start = time.monotonic()
     runs = enumerate_runs(sc.ctx)
     enumerated = time.monotonic()
@@ -86,19 +66,42 @@ def stress(horizon):
     classed = time.monotonic()
     verdicts = cross_check(sc, system)
     checked = time.monotonic()
-    nodes = {id(s): (t, s) for r in runs
-             for t, s in enumerate(r.states[:-1])}.values()
+    stepped = {id(s): s for r in runs for s in r.states[:-1]}.values()
     return {
-        "horizon": horizon, "runs": len(runs), "states": system.nodes,
-        "expanded": len({future_key(t, s) for t, s in nodes}),
+        "scenario": sc.name, "n": sc.ctx.n, "f": sc.ctx.f,
+        "horizon": sc.ctx.horizon, "runs": len(runs),
+        "points": len(runs) * (system.horizon + 1), "states": system.nodes,
+        "expanded": len({future_key(len(s.env), s) for s in stepped}),
         "histories": histories, "verdicts": len(verdicts),
         "refuted": sum(not ok for *_, ok in verdicts),
         "enumerate_s": round(enumerated - start, 3),
         "classes_s": round(classed - enumerated, 3),
         "cross_check_s": round(checked - classed, 3),
+        "seconds": round(checked - start, 3),
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
+
+
+def stress(horizon):
+    """The stress family's scenario at `horizon`."""
+    doc, _ = gen.formulas(1)
+    menus = doc["env_protocol"]["menus"]
+    doc["env_protocol"]["menus"] = [menus[0]] * horizon
+    doc["horizon"] = horizon
+    return scenario_from_json(doc, f"stress{horizon}")
+
+
+def print_table(rows, columns):
+    """Each column as wide as its widest cell; text left-aligned."""
+    lines = [columns] + [[str(row[k]) for k in columns] for row in rows]
+    widths = [max(map(len, cells)) for cells in zip(*lines)]
+    left = [isinstance(rows[0][k], str) for k in columns]
+    for line in lines:
+        print("  ".join(c.ljust(w) if l else c.rjust(w)
+                        for c, w, l in zip(line, widths, left)))
+    print(f"\n{sum(r['verdicts'] for r in rows)} verdicts, "
+          f"{sum(r['refuted'] for r in rows)} refuted")
 
 
 def main():
@@ -111,7 +114,12 @@ def main():
     ap.add_argument("--json", action="store_true", help="machine output")
     args = ap.parse_args()
     try:
-        return run(ap, args)
+        code = run(ap, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # not a refutation; the last flush needs a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (CapExceeded, PackingCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
@@ -121,37 +129,24 @@ def run(ap, args):
     if args.stress is not None:
         if not 1 <= args.stress <= MAX_HORIZON:
             ap.error(f"--stress needs a horizon in 1..{MAX_HORIZON}")
-        row = stress(args.stress)
-        if args.json:
-            print(json.dumps(row, indent=2))
-        else:
-            print("".join(f"{k:>{w}}" for k, w in STRESS_COLUMNS))
-            print("".join(f"{row[k]:>{w}}" for k, w in STRESS_COLUMNS))
-        return 1 if row["refuted"] else 0
-
-    names = sorted(n[:-5] for n in os.listdir(SCENARIO_DIR)
-                   if n.endswith(".json"))
-    if args.scenario:
-        if args.scenario not in names:
-            ap.error(f"unknown scenario {args.scenario!r}; known: "
-                     + ", ".join(names))
-        names = [args.scenario]
-
-    rows = [sweep(name) for name in names]
-    if args.json:
-        print(json.dumps(rows, indent=2))
+        rows = [confront(stress(args.stress))]
+        columns = STRESS_COLUMNS
     else:
-        hdr = f"{'scenario':<22}{'n':>3}{'f':>3}{'runs':>6}{'points':>8}" \
-              f"{'states':>8}{'verdicts':>10}{'refuted':>9}{'sec':>8}"
-        print(hdr)
-        print("-" * len(hdr))
-        for r in rows:
-            print(f"{r['scenario']:<22}{r['n']:>3}{r['f']:>3}{r['runs']:>6}"
-                  f"{r['points']:>8}{r['states']:>8}{r['verdicts']:>10}"
-                  f"{r['refuted']:>9}"
-                  f"{r['seconds']:>8.3f}")
-        print(f"\n{sum(r['verdicts'] for r in rows)} verdicts, "
-              f"{sum(r['refuted'] for r in rows)} refuted")
+        names = sorted(n[:-5] for n in os.listdir(SCENARIO_DIR)
+                       if n.endswith(".json"))
+        if args.scenario:
+            if args.scenario not in names:
+                ap.error(f"unknown scenario {args.scenario!r}; known: "
+                         + ", ".join(names))
+            names = [args.scenario]
+        rows = [confront(load_scenario(
+            os.path.join(SCENARIO_DIR, name + ".json"), name=name))
+            for name in names]
+        columns = CORPUS_COLUMNS
+    if args.json:
+        print(json.dumps(rows[0] if args.stress else rows, indent=2))
+    else:
+        print_table(rows, columns)
     return 1 if any(r["refuted"] for r in rows) else 0
 
 

@@ -9,8 +9,8 @@
 Exit codes: 0 success, 2 invalid scenario/trace/formula, 3 node cap
 exceeded or a packing asked of more chains than the packing cap, 4 a
 detector claim the oracle refutes or a trust entry whose contract the
-enumerated system breaks.  The environment variable BYZLAB_NODE_CAP
-overrides the scenario's node cap.
+enumerated system breaks, 141 (128 + SIGPIPE) a closed stdout, with
+nothing on stderr.  BYZLAB_NODE_CAP overrides the scenario's node cap.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_UNSOUND = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _int_arg(raw: str, where: str, lo: int, hi=None) -> int:
@@ -249,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # not an input error; the last flush needs a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -16,11 +16,13 @@ outside any `K` depends on the point itself and is kept per point;
 knowledge is kept per history of its agent, and the classes of histories
 are built per node.  An all-points `check` of a formula free of a `G`
 outside any `K` evaluates it once per node and expands the values to the
-points; only such a `G` walks the points.
+points; only such a `G` walks the points.  Each point is stored once, as
+the `(run, t)` tuple of `points()`, which the classes and verdicts share.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .atoms import AtomTimeError, Correct, eval_atom
@@ -76,22 +78,20 @@ class InterpretedSystem:
                     row.append(node)
             self._node_at.append(row)
         self.nodes = len(self._states)  # distinct states among the points
-        # every (point, node) in point order, built when first asked for
-        self._points: Optional[List[tuple]] = None
+        self._points: Optional[List[Point]] = None  # built when asked for
 
     # -- points ------------------------------------------------------------
 
-    def points(self):
-        for ridx in range(len(self.runs)):
-            for t in range(self.horizon + 1):
-                yield (ridx, t)
-
-    def _point_nodes(self) -> List[tuple]:
+    def points(self) -> List[Point]:
+        """Every point in order, one tuple each: the classes and `check`
+        hold these tuples, not copies.  Callers must not mutate it."""
         if self._points is None:
-            self._points = [((ridx, t), node)
-                            for ridx, row in enumerate(self._node_at)
-                            for t, node in enumerate(row)]
+            self._points = [(ridx, t) for ridx in range(len(self.runs))
+                            for t in range(self.horizon + 1)]
         return self._points
+
+    def _point_nodes(self):
+        return zip(self.points(), chain.from_iterable(self._node_at))
 
     def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
         if agent not in self._classes:
@@ -221,8 +221,7 @@ class InterpretedSystem:
         if p is not None:
             return [(p, self._value(fid, *self._point(p)))], warning
         if self._table[fid][3]:
-            return [(q, self._value(fid, *q))
-                    for q, _ in self._point_nodes()], warning
+            return [(q, self._value(fid, *q)) for q in self.points()], warning
         values = [self._value(fid, *q) for q in self._first_at]
         return [(q, values[node]) for q, node in self._point_nodes()], warning
 

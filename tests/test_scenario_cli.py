@@ -639,6 +639,54 @@ def test_run_suite_exits_3_on_a_capped_stress_horizon(monkeypatch, capsys):
     assert err == "error: enumeration exceeded 100 explored nodes\n"
 
 
+def _run_suite_json(*argv):
+    proc = subprocess.run([sys.executable, RUN_SUITE, *argv, "--json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+TIMINGS = {"enumerate_s", "classes_s", "cross_check_s", "seconds",
+           "peak_rss_mb"}
+
+
+def test_run_suite_rows_share_one_schema():
+    # a corpus sweep prints a list of rows, a stress system one row
+    corpus = _run_suite_json()
+    stress = _run_suite_json("--stress", "2")
+    assert len(corpus) == len(SCENARIO_NAMES)
+    assert {frozenset(row) for row in corpus} == {frozenset(stress)}
+    assert TIMINGS < set(stress)
+
+
+def test_run_suite_scenario_row_is_its_sweep_row():
+    sweep = {row["scenario"]: row for row in _run_suite_json()}
+    [row] = _run_suite_json("--scenario", "s04_two_chains")
+    assert row.keys() == sweep["s04_two_chains"].keys()
+    for key in row.keys() - TIMINGS:
+        assert row[key] == sweep["s04_two_chains"][key], key
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "byzlab.cli", "validate", scenario_path("s01_quiet")],
+    [RUN_SUITE, "--stress", "2", "--json"],
+], ids=["byzlab_validate", "run_suite_stress"])
+def test_a_closed_stdout_exits_141_in_silence(argv):
+    # the reader is gone before the command writes: 128 + SIGPIPE, and no
+    # `error:` line, since the input was fine
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(byzlab.__file__))
+    try:
+        proc = subprocess.run([sys.executable, *argv], stdout=write,
+                              stderr=subprocess.PIPE, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert proc.stderr == b""
+
+
 def _byzlab_limited(argv, megabytes=256, seconds=20):
     """`byzlab argv` in a child process held to `megabytes` of address
     space, so that a closure that grows exponentially fails fast."""

@@ -18,9 +18,11 @@ histories, cross-checking and in all, and the process's peak RSS so
 far.  `--json` prints the corpus as a list of rows and a stress system
 as one row.
 
-Exit status: 1 on a refuted verdict; 3, with one `error:` line on
-stderr, when enumeration passes a scenario's node cap or a detector's
-packing passes its cap, as `byzlab` does; 141 when stdout closes early.
+Exit status, as `byzlab` gives it (`byzlab.cli.exit_status`): 1 on a
+refuted verdict; 2, with one `error:` line on stderr, on a scenario
+file that fails to load; 3, with one `error:` line, when enumeration
+passes a scenario's node cap or a detector's packing passes its cap;
+141 when stdout closes early.
 
     python3 scripts/run_suite.py [--scenario NAME | --stress H] [--json]
 """
@@ -37,10 +39,9 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
 
 import gen
-from byzlab.chains import PackingCapExceeded
-from byzlab.cli import EXIT_CAP, EXIT_PIPE
+from byzlab.cli import exit_status
 from byzlab.detect import cross_check
-from byzlab.engine import CapExceeded, enumerate_runs, future_key
+from byzlab.engine import enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
 from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
 
@@ -112,17 +113,7 @@ def main():
     which.add_argument("--stress", type=int, metavar="H",
                        help="run the stress family at horizon H instead")
     ap.add_argument("--json", action="store_true", help="machine output")
-    args = ap.parse_args()
-    try:
-        code = run(ap, args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:  # not a refutation; the last flush needs a sink
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
-    except (CapExceeded, PackingCapExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
+    return exit_status(run, ap, ap.parse_args())
 
 
 def run(ap, args):

@@ -247,10 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_status(fn, *args) -> int:
+    """`fn(*args)`'s exit code, with stdout flushed, or the code of the
+    exception it raised: 141 for a closed stdout, 2 for invalid input
+    and 3 for an exceeded cap, each but the first with one `error:` line
+    on stderr.  Every front end runs its command through it."""
     try:
-        code = args.fn(args)
+        code = fn(*args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # not an input error; the last flush needs a sink
@@ -262,6 +265,11 @@ def main(argv=None) -> int:
     except (CapExceeded, PackingCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(args.fn, args)
 
 
 if __name__ == "__main__":

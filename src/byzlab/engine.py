@@ -35,11 +35,13 @@ class CapExceeded(Exception):
 class AgentContext:
     """Environment protocol, joint protocol, initial states, template and
     the walks' tables, filled as they are asked: labels per (agent, t,
-    choice), `_summary` per env set, `compile_round` per round record
-    and each agent's choices per (agent, history).  The tables are
-    bounded by the distinct sets, records and histories the context's
-    walks meet, and die with the context; `enumerate_runs` walks a copy
-    with tables of its own."""
+    choice), `_summary` per env set, `compile_round` per round record,
+    each agent's choices per (agent, history) and `step`'s compiled
+    record per (t, sent, delivered, faulty, env set, agent combo).  The
+    tables are bounded by the distinct sets, records, histories and
+    step keys the context's walks meet, and die with the context;
+    `enumerate_runs` walks a copy with tables of its own, while
+    `seeded_run` and `count_choice_tree` fill the context's own."""
 
     n: AgentId
     env: EnvProtocol
@@ -53,6 +55,7 @@ class AgentContext:
     summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     choices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def protocol(self, agent: AgentId) -> AgentProtocol:
         return self.protocols[agent - 1]
@@ -135,12 +138,27 @@ def _materialize(state: GlobalState, X_eps: frozenset, templates,
 # The five-phase step
 
 def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
-         env_choice: frozenset, agent_choices) -> GlobalState:
+         env_choice: frozenset, agent_choices: tuple) -> GlobalState:
     """Execute one round given the adversary's choices.  The env set and
     each agent's choice must be ones `_choice_space(ctx, state, t)`
     offers, which is the one definition of what the adversary may
-    choose; `step` does not check them.  The round record is compiled
-    once per context (`ctx.records`)."""
+    choose; `step` does not check them.  The round record reads the
+    state only through its summaries, so `ctx.steps` keeps it compiled
+    per (t, sent, delivered, faulty, env set, agent combo), and a
+    repeated key only joins it onto the state."""
+    key = (t, state.sent, state.delivered, state.faulty, env_choice,
+           agent_choices)
+    compiled = ctx.steps.get(key)
+    if compiled is None:
+        compiled = ctx.steps[key] = _compile_step(
+            ctx, state, t, env_choice, agent_choices)
+    return join_round(state, compiled)
+
+
+def _compile_step(ctx: AgentContext, state: GlobalState, t: Timestamp,
+                  env_choice: frozenset, agent_choices: tuple) -> tuple:
+    """The compiled round record of `step`: labeling, delivery binding,
+    both filters, then `compile_round` once per record (`ctx.records`)."""
     # Labeling, once per (agent, t, choice): each send its own identifier.
     alphas = []
     for i, X in enumerate(agent_choices, start=1):
@@ -159,13 +177,13 @@ def step(ctx: AgentContext, state: GlobalState, t: Timestamp,
     else:
         beta_eps = filter_env_B(state, alpha_eps, alphas)
 
-    # Action filtering, then updating: actions pass when go(i) was granted.
+    # Action filtering: actions pass when go(i) was granted.
     rnd = beta_eps.union(
         *(alphas[g.agent - 1] for g in beta_eps if isinstance(g, Go)))
     compiled = ctx.records.get(rnd)
     if compiled is None:
         compiled = ctx.records[rnd] = compile_round(rnd)
-    return join_round(state, compiled)
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +350,8 @@ def seeded_run(ctx: AgentContext, seed: int) -> Run:
     for t in range(ctx.horizon):
         env_opts, agent_opts = _choice_space(ctx, state, t)
         env_choice = env_opts[_pick(seed, t, 0, len(env_opts))]
-        combo = [opts[_pick(seed, t, 1 + i, len(opts))]
-                 for i, opts in enumerate(agent_opts)]
+        combo = tuple(opts[_pick(seed, t, 1 + i, len(opts))]
+                      for i, opts in enumerate(agent_opts))
         state = step(ctx, state, t, env_choice, combo)
         states.append(state)
     return Run(tuple(states))

@@ -116,7 +116,7 @@ def test_action_filter_requires_go():
     env = EnvProtocol(((frozenset(), frozenset({Go(1)})),))
     ctx = simple_ctx(env=env)
     s0 = initial_state(("a", "b"))
-    sends = [frozenset({Send(2, "m")}), frozenset()]
+    sends = (frozenset({Send(2, "m")}), frozenset())
     idle = step(ctx, s0, 0, frozenset(), sends)
     assert idle.env == (frozenset(),)
     went = step(ctx, s0, 0, frozenset({Go(1)}), sends)
@@ -128,11 +128,11 @@ def test_action_filter_requires_go():
 def test_step_records_send_and_delivery():
     ctx = simple_ctx()
     s0 = initial_state(("a", "b"))
-    s1 = step(ctx, s0, 0, frozenset({Go(1)}), [frozenset({Send(2, "m")}),
-                                               frozenset()])
+    s1 = step(ctx, s0, 0, frozenset({Go(1)}), (frozenset({Send(2, "m")}),
+                                               frozenset()))
     assert Send(2, "m") in s1.local(1)
     s2 = step(ctx, s1, 1, frozenset({Go(2), GRecv(2, 1, "m", None)}),
-              [frozenset({Send(2, "m")}), frozenset()])
+              (frozenset({Send(2, "m")}), frozenset()))
     assert Recv(1, "m") in s2.local(2)
     # no go(1) at t=1: the offered send was filtered out
     assert s1.local(1) == s2.local(1)
@@ -545,6 +545,35 @@ def test_enumeration_keys_on_each_summary(build):
     assert runs[0].states[t + 1].env[t] != runs[1].states[t + 1].env[t]
 
 
+def test_states_with_equal_summaries_share_one_step_entry():
+    # An external event at round 0, or none, leaves two states at t=1
+    # that differ in agent 1's history only; round 1 sends and round 2
+    # binds a delivery, each compiled once for both states.
+    p2 = proto(2, Rule(("always",), (frozenset({Send(1, "m")}),)))
+    env = EnvProtocol((
+        (frozenset({GExternal(1, "e")}), frozenset()),
+        (frozenset({Go(2)}),),
+        (frozenset({GRecv(1, 2, "m", None)}),),
+    ))
+    ctx = simple_ctx(env=env, protocols=(proto(1), p2), horizon=3)
+    assert count_choice_tree(ctx) == 2
+    runs = [r.states for r in enumerate_runs(ctx)]
+    assert runs == list(ref_runs(ctx))
+    a, b = (states[1] for states in runs)
+    assert a.locals != b.locals
+    assert (a.sent, a.delivered, a.faulty) == (b.sent, b.delivered, b.faulty)
+    assert sorted(key[0] for key in ctx.steps) == [0, 0, 1, 2]
+    for t in (1, 2):
+        for states in runs:
+            _, agent_opts = engine._choice_space(ctx, states[t], t)
+            [combo] = itertools.product(*agent_opts)
+            got = step(ctx, states[t], t, env(t)[0], combo)
+            assert got.env == ref_step(
+                ctx, states[t], t, env(t)[0], combo).env == states[t + 1].env
+            assert got.locals == states[t + 1].locals
+    assert len(ctx.steps) == 4
+
+
 # -- random small scenarios against the reference ----------------------------
 
 @st.composite
@@ -635,7 +664,7 @@ def test_filled_tables_answer_as_fresh_calls(contexts):
     for name, ctx in contexts.items():
         filled = replace(ctx)
         count_choice_tree(filled)  # walks every edge with these tables
-        assert filled.records and filled.choices, name
+        assert filled.steps and filled.records and filled.choices, name
         for (i, h), opts in filled.choices.items():
             assert opts == ctx.protocol(i)(h), (name, i, h)
         nodes = {(t, s) for r in enumerate_runs(ctx)
@@ -646,6 +675,9 @@ def test_filled_tables_answer_as_fresh_calls(contexts):
                                   for i, h in enumerate(state.locals, 1)]
             for X in env_opts:
                 for combo in itertools.product(*agent_opts):
+                    # every step of `filled` below answers from its table
+                    assert (t, state.sent, state.delivered, state.faulty,
+                            X, combo) in filled.steps, name
                     got, want = (
                         step(c, state, t, X, combo)
                         for c in (filled, replace(ctx)))
@@ -657,11 +689,11 @@ def test_enumeration_leaves_the_callers_tables_empty(contexts):
     for name, ctx in contexts.items():
         fresh = replace(ctx)
         enumerate_runs(fresh)
-        assert (fresh.records, fresh.choices, fresh.labels,
-                fresh.summaries) == ({}, {}, {}, {}), name
+        assert (fresh.steps, fresh.records, fresh.choices, fresh.labels,
+                fresh.summaries) == ({}, {}, {}, {}, {}), name
         # a seeded run fills the tables of the context it is given
         seeded_run(fresh, 0)
-        assert fresh.records and fresh.choices, name
+        assert fresh.steps and fresh.records and fresh.choices, name
 
 
 def test_a_forced_choice_needs_no_hash(monkeypatch):

@@ -618,12 +618,17 @@ def test_run_suite_rejects_bad_arguments(argv, message):
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
-def test_run_suite_exits_3_on_a_capped_stress_horizon(monkeypatch, capsys):
+def _import_run_suite(monkeypatch):
     # the script puts src/ and perfbench/ first on sys.path when imported
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("run_suite", RUN_SUITE)
     run_suite = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_suite)
+    return run_suite
+
+
+def test_run_suite_exits_3_on_a_capped_stress_horizon(monkeypatch, capsys):
+    run_suite = _import_run_suite(monkeypatch)
     formulas = run_suite.gen.formulas
 
     def capped(seed):
@@ -637,6 +642,21 @@ def test_run_suite_exits_3_on_a_capped_stress_horizon(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert not out
     assert err == "error: enumeration exceeded 100 explored nodes\n"
+
+
+def test_run_suite_exits_2_on_a_malformed_corpus_scenario(
+        monkeypatch, capsys, tmp_path):
+    # a corpus file that fails to load is invalid input, not a refutation
+    run_suite = _import_run_suite(monkeypatch)
+    (tmp_path / "s16_bad.json").write_text('{"agents": 0}')
+    monkeypatch.setattr(run_suite, "SCENARIO_DIR", str(tmp_path))
+    for argv in ([], ["--scenario", "s16_bad"], ["--json"]):
+        monkeypatch.setattr(sys, "argv", ["run_suite.py", *argv])
+        assert run_suite.main() == cli.EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert not out, argv
+        assert err.startswith("error: agents: ") and err.count("\n") == 1, \
+            (argv, err)
 
 
 def _run_suite_json(*argv):

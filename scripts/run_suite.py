@@ -19,8 +19,8 @@ far.  `--json` prints the corpus as a list of rows and a stress system
 as one row.
 
 Exit status, as `byzlab` gives it (`byzlab.cli.exit_status`): 1 on a
-refuted verdict; 2, with one `error:` line on stderr, on a scenario
-file that fails to load; 3, with one `error:` line, when enumeration
+refuted verdict; 2, with one `error:` line on stderr that names the
+file, on a scenario file that fails to load; 3, with one `error:` line, when enumeration
 passes a scenario's node cap or a detector's packing passes its cap;
 141 when stdout closes early.
 
@@ -43,7 +43,8 @@ from byzlab.cli import exit_status
 from byzlab.detect import cross_check
 from byzlab.engine import enumerate_runs, future_key
 from byzlab.oracle import InterpretedSystem
-from byzlab.scenario import MAX_HORIZON, load_scenario, scenario_from_json
+from byzlab.scenario import MAX_HORIZON, scenario_from_json
+from byzlab.serial import InputError, parse_json, read_text
 
 SCENARIO_DIR = os.path.join(HERE, "..", "scenarios")
 
@@ -93,6 +94,17 @@ def stress(horizon):
     return scenario_from_json(doc, f"stress{horizon}")
 
 
+def corpus_scenario(name):
+    """Corpus scenario `name`; an error in its content names its file
+    before the JSON path, as a file that is no JSON already does."""
+    path = os.path.join(SCENARIO_DIR, name + ".json")
+    doc = parse_json(read_text(path), path)
+    try:
+        return scenario_from_json(doc, name)
+    except InputError as e:
+        raise InputError(path, str(e)) from None
+
+
 def print_table(rows, columns):
     """Each column as wide as its widest cell; text left-aligned."""
     lines = [columns] + [[str(row[k]) for k in columns] for row in rows]
@@ -130,9 +142,7 @@ def run(ap, args):
                 ap.error(f"unknown scenario {args.scenario!r}; known: "
                          + ", ".join(names))
             names = [args.scenario]
-        rows = [confront(load_scenario(
-            os.path.join(SCENARIO_DIR, name + ".json"), name=name))
-            for name in names]
+        rows = [confront(corpus_scenario(name)) for name in names]
         columns = CORPUS_COLUMNS
     if args.json:
         print(json.dumps(rows[0] if args.stress else rows, indent=2))

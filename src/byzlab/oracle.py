@@ -16,12 +16,15 @@ outside any `K` depends on the point itself and is kept per point;
 knowledge is kept per history of its agent, and the classes of histories
 are built per node.  An all-points `check` of a formula free of a `G`
 outside any `K` evaluates it once per node and expands the values to the
-points; only such a `G` walks the points.  Each point is stored once, as
-the `(run, t)` tuple of `points()`, which the classes and verdicts share.
+points; only such a `G` walks the points.  A class reads its first point
+from its first node and lists its points only when it is first walked;
+the points are then the `(run, t)` tuples of `points()`, which the
+classes and verdicts share, each point stored once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -43,6 +46,87 @@ ATOM, NOT, AND, OR, IMPLIES, KNOW, ALWAYS = range(7)
 _BINARY = {And: AND, Or: OR, Implies: IMPLIES}
 
 
+class _Points:
+    """A system's points in order, each one `(run, t)` tuple built when
+    first asked for, and the node at each."""
+
+    __slots__ = ("node_at", "horizon", "_list")
+
+    def __init__(self, node_at: List[List[int]], horizon: Timestamp):
+        self.node_at = node_at  # run index -> t -> node
+        self.horizon = horizon
+        self._list: Optional[List[Point]] = None
+
+    def list(self) -> List[Point]:
+        if self._list is None:
+            self._list = [(ridx, t) for ridx in range(len(self.node_at))
+                          for t in range(self.horizon + 1)]
+        return self._list
+
+    def with_nodes(self):
+        return zip(self.list(), chain.from_iterable(self.node_at))
+
+
+class _AgentClasses:
+    """One agent's classes, numbered in the order of their first points:
+    `index` maps a node to its class, `firsts` lists each class's first
+    point of each of its nodes, and `members()` each class's points, for
+    every class in one pass when first asked for.  It holds the system's
+    points, not the system, so that the classes make no reference cycle."""
+
+    __slots__ = ("index", "firsts", "_points", "_members")
+
+    def __init__(self, index: List[int], firsts: List[List[Point]],
+                 points: _Points):
+        self.index = index
+        self.firsts = firsts
+        self._points = points
+        self._members: Optional[List[List[Point]]] = None
+
+    def members(self) -> List[List[Point]]:
+        if self._members is None:
+            with collector_paused():  # the build makes no reference cycles
+                members: List[List[Point]] = [[] for _ in self.firsts]
+                for p, node in self._points.with_nodes():
+                    members[self.index[node]].append(p)
+                self._members = members
+        return self._members
+
+
+class _ClassPoints(Sequence):
+    """The points of one class, in point order, read-only.  `[0]` is the
+    class's first point; any other read lists the points of every class
+    of the agent, once."""
+
+    __slots__ = ("_classes", "_k")
+
+    def __init__(self, classes: _AgentClasses, k: int):
+        self._classes = classes
+        self._k = k
+
+    def _list(self) -> List[Point]:
+        return self._classes.members()[self._k]
+
+    def __getitem__(self, i):
+        if i == 0:
+            return self._classes.firsts[self._k][0]
+        return self._list()[i]
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _ClassPoints):
+            other = other._list()
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
 class InterpretedSystem:
     """Enumerated runs, over which formulas of designated atoms are
     evaluated.  `quiescent` says the final round offers no activity, so
@@ -55,9 +139,9 @@ class InterpretedSystem:
         self._table: List[tuple] = []         # subformula id -> row
         self._ids: Dict[tuple, int] = {}      # row -> subformula id
         self._memo: List[dict] = []           # subformula id -> key -> value
-        self._classes: Dict[AgentId, Dict[LocalHistory, List[Point]]] = {}
-        # agent -> (node -> class index, class index -> its points, class
-        # index -> the first point of each distinct node in the class)
+        self._classes: Dict[AgentId, Dict[LocalHistory, _ClassPoints]] = {}
+        # agent -> (node -> class index, class index -> the first point of
+        # each distinct node in the class, the classes)
         self._class_index: Dict[AgentId, tuple] = {}
         # Nodes are numbered in the order of their first points.  Runs
         # that enumeration repeats are one `Run` object and share a row.
@@ -78,22 +162,20 @@ class InterpretedSystem:
                     row.append(node)
             self._node_at.append(row)
         self.nodes = len(self._states)  # distinct states among the points
-        self._points: Optional[List[Point]] = None  # built when asked for
+        self._points = _Points(self._node_at, self.horizon)
 
     # -- points ------------------------------------------------------------
 
     def points(self) -> List[Point]:
         """Every point in order, one tuple each: the classes and `check`
         hold these tuples, not copies.  Callers must not mutate it."""
-        if self._points is None:
-            self._points = [(ridx, t) for ridx in range(len(self.runs))
-                            for t in range(self.horizon + 1)]
-        return self._points
+        return self._points.list()
 
-    def _point_nodes(self):
-        return zip(self.points(), chain.from_iterable(self._node_at))
-
-    def agent_classes(self, agent: AgentId) -> Dict[LocalHistory, List[Point]]:
+    def agent_classes(self,
+                      agent: AgentId) -> Dict[LocalHistory, Sequence[Point]]:
+        """The classes of `agent`'s histories, keyed in the order of their
+        first points.  A class reads its first point from its first node;
+        the first walk of any class of the agent lists all of them."""
         if agent not in self._classes:
             with collector_paused():  # the build makes no reference cycles
                 # one hash per node; classes are numbered, and each one's
@@ -101,14 +183,13 @@ class InterpretedSystem:
                 ids: Dict[LocalHistory, int] = {}
                 index = [ids.setdefault(s.locals[agent - 1], len(ids))
                          for s in self._states]
-                members: List[List[Point]] = [[] for _ in ids]
                 firsts: List[List[Point]] = [[] for _ in ids]
                 for k, p in zip(index, self._first_at):
                     firsts[k].append(p)
-                for p, node in self._point_nodes():
-                    members[index[node]].append(p)
-                self._classes[agent] = dict(zip(ids, members))
-                self._class_index[agent] = (index, members, firsts)
+                classes = _AgentClasses(index, firsts, self._points)
+                self._class_index[agent] = (index, firsts, classes)
+                self._classes[agent] = {h: _ClassPoints(classes, k)
+                                        for h, k in ids.items()}
         return self._classes[agent]
 
     # -- compilation -------------------------------------------------------
@@ -173,7 +254,7 @@ class InterpretedSystem:
         if kind == KNOW:
             if a not in self._class_index:
                 self.agent_classes(a)
-            index, members, firsts = self._class_index[a]
+            index, firsts, classes = self._class_index[a]
             key = index[node]
         else:
             key = (ridx, t) if per_point else node
@@ -197,7 +278,7 @@ class InterpretedSystem:
         elif kind == KNOW:
             # a class visits each node at its first point only, unless
             # the subformula depends on the point itself
-            pts = members[key] if self._table[b][3] else firsts[key]
+            pts = classes.members()[key] if self._table[b][3] else firsts[key]
             out = all(self._value(b, r, u) for r, u in pts)
         else:  # ALWAYS
             out = all(self._value(a, ridx, u)
@@ -223,7 +304,7 @@ class InterpretedSystem:
         if self._table[fid][3]:
             return [(q, self._value(fid, *q)) for q in self.points()], warning
         values = [self._value(fid, *q) for q in self._first_at]
-        return [(q, values[node]) for q, node in self._point_nodes()], warning
+        return [(q, values[node]) for q, node in self._points.with_nodes()], warning
 
     # -- the trust contract ------------------------------------------------
 

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from byzlab.atoms import AtomTimeError, Correct, Faulty, Occurred, eval_atom
 from byzlab.cli import main
+from byzlab.detect import cross_check
 from byzlab.engine import enumerate_runs
 from byzlab.formulas import (
     Always, And, Atom, Believe, FormulaSyntaxError, Hope, Implies, Know, Not,
@@ -194,7 +198,75 @@ def test_classes_match_a_per_point_reference(contexts):
                     firsts.setdefault(h, []).append(p)
             got = system.agent_classes(i)
             assert list(got.items()) == list(classes.items()), (name, i)
-            assert system._class_index[i][2] == list(firsts.values())
+            assert system._class_index[i][1] == list(firsts.values())
+
+
+def _listed(system):
+    """Whether `system` has built its points list or any member list."""
+    return system._points._list is not None or any(
+        classes._members is not None
+        for _, _, classes in system._class_index.values())
+
+
+def test_first_points_list_no_points(suite):
+    # cross-checking and a walk of the keys and first points read each
+    # class's first point from its first node
+    for name in SCENARIO_NAMES:
+        sc, runs, _ = suite[name]
+        system = InterpretedSystem(runs)
+        cross_check(sc, system)
+        assert system._class_index and not _listed(system), name
+        system = InterpretedSystem(runs)
+        firsts = [(i, h, pts[0]) for i in range(1, sc.ctx.n + 1)
+                  for h, pts in system.agent_classes(i).items()]
+        assert not _listed(system), name
+        assert firsts == [(i, h, list(pts)[0]) for i in range(1, sc.ctx.n + 1)
+                          for h, pts in system.agent_classes(i).items()], name
+        assert _listed(system), name
+
+
+def test_a_class_reads_as_the_list_of_its_points(suite):
+    runs = suite["s04_two_chains"][1]
+    system = InterpretedSystem(runs)
+    ref = Reference(InterpretedSystem(runs)).agent_classes(2)
+    got = system.agent_classes(2)
+    assert len(got) > 1
+    for (h, pts), want in zip(got.items(), ref.values()):
+        assert pts[0] == want[0]
+        assert len(pts) == len(want) and list(pts) == want
+        assert pts[-1] == want[-1] and pts[1:] == want[1:]
+        assert pts[::2] == want[::2] and list(reversed(pts)) == want[::-1]
+        assert pts == want and want == pts and pts == got[h]
+        assert pts != want[1:] and pts != tuple(want)
+        assert want[-1] in pts and pts.index(want[-1]) == len(want) - 1
+        assert repr(pts) == repr(want)
+        with pytest.raises(IndexError):
+            pts[len(want)]
+        with pytest.raises(TypeError):
+            pts[0] = want[0]
+    assert list(got.values())[0] != list(got.values())[1]
+
+
+def test_a_system_is_freed_without_the_collector(suite):
+    # the classes hold the system's points, not the system, so that no
+    # reference cycle keeps a dropped system for the cyclic collector
+    sc, runs, _ = suite["s04_two_chains"]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        system = InterpretedSystem(runs)
+        cross_check(sc, system)
+        system.check(Know(1, Always(Atom(Correct(1)))))  # walks the classes
+        classes = [system.agent_classes(i) for i in range(1, sc.ctx.n + 1)]
+        assert _listed(system)
+        dropped = weakref.ref(system)
+        del system
+        assert dropped() is None
+        ref = Reference(InterpretedSystem(runs))
+        assert classes == [ref.agent_classes(i)
+                           for i in range(1, sc.ctx.n + 1)]
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _hap_text(o):

@@ -648,15 +648,17 @@ def test_run_suite_exits_2_on_a_malformed_corpus_scenario(
         monkeypatch, capsys, tmp_path):
     # a corpus file that fails to load is invalid input, not a refutation
     run_suite = _import_run_suite(monkeypatch)
-    (tmp_path / "s16_bad.json").write_text('{"agents": 0}')
+    # and its one error line names the file before the JSON path
+    bad = tmp_path / "s16_bad.json"
+    bad.write_text('{"agents": 0}')
     monkeypatch.setattr(run_suite, "SCENARIO_DIR", str(tmp_path))
     for argv in ([], ["--scenario", "s16_bad"], ["--json"]):
         monkeypatch.setattr(sys, "argv", ["run_suite.py", *argv])
         assert run_suite.main() == cli.EXIT_INVALID, argv
         out, err = capsys.readouterr()
         assert not out, argv
-        assert err.startswith("error: agents: ") and err.count("\n") == 1, \
-            (argv, err)
+        assert err.startswith(f"error: {bad}: agents: ") and \
+            err.count("\n") == 1, (argv, err)
 
 
 def _run_suite_json(*argv):

@@ -13,10 +13,11 @@ points, `states` (the distinct global states among the points, on which
 the oracle evaluates state formulas once), `expanded` (the distinct
 states enumeration stepped from), the distinct histories of all agents,
 the detector verdicts cross-checked against the brute-force oracle and
-the refuted ones, the seconds spent enumerating, classing every agent's
-histories, cross-checking and in all, and the process's peak RSS so
-far.  `--json` prints the corpus as a list of rows and a stress system
-as one row.
+the refuted ones, the seconds spent enumerating, building the
+interpreted system over the runs (`system_s`), classing every agent's
+histories (`classes_s`), cross-checking and in all, and the process's
+peak RSS so far.  `--json` prints the corpus as a list of rows and a
+stress system as one row.
 
 Exit status, as `byzlab` gives it (`byzlab.cli.exit_status`): 1 on a
 refuted verdict; 2, with one `error:` line on stderr that names the
@@ -52,8 +53,8 @@ SCENARIO_DIR = os.path.join(HERE, "..", "scenarios")
 CORPUS_COLUMNS = ["scenario", "n", "f", "runs", "points", "states",
                   "expanded", "histories", "verdicts", "refuted", "seconds"]
 STRESS_COLUMNS = ["horizon", "runs", "states", "expanded", "histories",
-                  "verdicts", "refuted", "enumerate_s", "classes_s",
-                  "cross_check_s", "peak_rss_mb"]
+                  "verdicts", "refuted", "enumerate_s", "system_s",
+                  "classes_s", "cross_check_s", "peak_rss_mb"]
 
 
 def confront(sc):
@@ -63,6 +64,7 @@ def confront(sc):
     runs = enumerate_runs(sc.ctx)
     enumerated = time.monotonic()
     system = InterpretedSystem(runs)
+    built = time.monotonic()
     histories = sum(len(system.agent_classes(i))
                     for i in range(1, sc.ctx.n + 1))
     classed = time.monotonic()
@@ -77,7 +79,8 @@ def confront(sc):
         "histories": histories, "verdicts": len(verdicts),
         "refuted": sum(not ok for *_, ok in verdicts),
         "enumerate_s": round(enumerated - start, 3),
-        "classes_s": round(classed - enumerated, 3),
+        "system_s": round(built - enumerated, 3),
+        "classes_s": round(classed - built, 3),
         "cross_check_s": round(checked - classed, 3),
         "seconds": round(checked - start, 3),
         "peak_rss_mb": round(

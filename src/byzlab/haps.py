@@ -6,37 +6,62 @@ identifiers and correct/byzantine tags.  A send is its own global
 message identifier (GMI), which a delivery names, and a byzantine hap
 acts as its own agent.  All values here are immutable and hashable, so
 they can be shared freely between enumeration workers.
+
+Haps and histories are tagged tuples, `(class name, *fields)`, so that
+the millions of them a system builds are built, hashed and compared in
+C; the tag keeps a value unequal to one of another type or a guard.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 AgentId = int
 Timestamp = int
 
 
+class _Tagged(tuple):
+    """A tagged tuple, whose type's `__new__` parameters name its fields;
+    within one type, values order as their field tuples do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(inspect.signature(cls.__new__).parameters)[1:]
+        for k, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self[1:])) + ")"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+
 # ---------------------------------------------------------------------------
 # Local format
 
-@dataclass(frozen=True, order=True, slots=True)
-class Send:
-    to: AgentId
-    msg: str
-    copy: int = 0
+class Send(_Tagged):
+    __slots__ = ()
+    def __new__(cls, to: AgentId, msg: str, copy: int = 0):
+        return tuple.__new__(cls, ("Send", to, msg, copy))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Recv:
-    frm: AgentId
-    msg: str
+class Recv(_Tagged):
+    __slots__ = ()
+    def __new__(cls, frm: AgentId, msg: str):
+        return tuple.__new__(cls, ("Recv", frm, msg))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class External:
-    event: str
+class External(_Tagged):
+    __slots__ = ()
+    def __new__(cls, event: str):
+        return tuple.__new__(cls, ("External", event))
 
 
 LocalHap = Union[Send, Recv, External]
@@ -45,19 +70,16 @@ LocalHap = Union[Send, Recv, External]
 # ---------------------------------------------------------------------------
 # Global format
 
-@dataclass(frozen=True, order=True, slots=True)
-class GSend:
+class GSend(_Tagged):
     """A send of `agent`; its fields are its global message identifier."""
 
-    agent: AgentId
-    to: AgentId
-    msg: str
-    copy: int
-    sent_at: Timestamp
+    __slots__ = ()
+    def __new__(cls, agent: AgentId, to: AgentId, msg: str, copy: int,
+                sent_at: Timestamp):
+        return tuple.__new__(cls, ("GSend", agent, to, msg, copy, sent_at))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GRecv:
+class GRecv(_Tagged):
     """Correct delivery to `agent` of a message sent by `frm`.
 
     `gmi` is the `GSend` delivered, or None for an unresolved delivery
@@ -65,65 +87,65 @@ class GRecv:
     against actual sends before filtering.
     """
 
-    agent: AgentId
-    frm: AgentId
-    msg: str
-    gmi: Optional[GSend] = None
+    __slots__ = ()
+    def __new__(cls, agent: AgentId, frm: AgentId, msg: str,
+                gmi: Optional[GSend] = None):
+        return tuple.__new__(cls, ("GRecv", agent, frm, msg, gmi))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GExternal:
-    agent: AgentId
-    event: str
+class GExternal(_Tagged):
+    __slots__ = ()
+    def __new__(cls, agent: AgentId, event: str):
+        return tuple.__new__(cls, ("GExternal", agent, event))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ByzAction:
+class ByzAction(_Tagged):
     """Byzantine event: `agent` performs one action while recording another.
 
     Either side may be None (the non-action).  fail(i) is the invisible
     branding event ByzAction(i, None, None).
     """
 
-    agent: AgentId
-    performed: Optional[GSend] = None
-    recorded: Optional[GSend] = None
+    __slots__ = ()
+    def __new__(cls, agent: AgentId, performed: Optional[GSend] = None,
+                recorded: Optional[GSend] = None):
+        g = tuple.__new__(cls, ("ByzAction", agent, performed, recorded))
+        return _own(g, performed, recorded)
 
-    def __post_init__(self):
-        _own(self, self.performed, self.recorded)
 
-
-@dataclass(frozen=True, order=True, slots=True)
-class ByzEvent:
+class ByzEvent(_Tagged):
     """Byzantine counterpart of a correct event: a faked perception."""
 
-    agent: AgentId
-    event: Union[GRecv, GExternal] = None
+    __slots__ = ()
+    def __new__(cls, agent: AgentId, event: Union[GRecv, GExternal] = None):
+        g = tuple.__new__(cls, ("ByzEvent", agent, event))
+        return _own(g, event)
 
-    def __post_init__(self):
-        _own(self, self.event)
 
-
-def _own(g, *haps) -> None:
-    """ValueError unless each of `haps` is None or of `g`'s agent."""
+def _own(g, *haps):
+    """`g`, or ValueError unless each of `haps` is None or of its agent."""
     for h in haps:
         if h is not None and h.agent != g.agent:
             raise ValueError(f"{g!r} holds another agent's hap")
+    return g
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Go:
-    agent: AgentId
+class Go(_Tagged):
+    __slots__ = ()
+    def __new__(cls, agent: AgentId):
+        return tuple.__new__(cls, ("Go", agent))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Sleep:
-    agent: AgentId
+class Sleep(_Tagged):
+    __slots__ = ()
+    def __new__(cls, agent: AgentId):
+        return tuple.__new__(cls, ("Sleep", agent))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Hib:
-    agent: AgentId
+class Hib(_Tagged):
+    __slots__ = ()
+    def __new__(cls, agent: AgentId):
+        return tuple.__new__(cls, ("Hib", agent))
 
 
 GlobalHap = Union[GSend, GRecv, GExternal, ByzAction, ByzEvent, Go, Sleep, Hib]
@@ -168,8 +190,7 @@ def globalize(agent: AgentId, t: Timestamp, a: LocalHap) -> GlobalHap:
 # ---------------------------------------------------------------------------
 # Histories and states
 
-@dataclass(frozen=True, slots=True)
-class LocalHistory:
+class LocalHistory(_Tagged):
     """An agent's view: initial state plus one hap set per active round.
 
     Rounds are stored oldest-first.  A round may be the empty set: the
@@ -178,8 +199,9 @@ class LocalHistory:
     histories distinguishable.
     """
 
-    initial: str
-    rounds: tuple = ()
+    __slots__ = ()
+    def __new__(cls, initial: str, rounds: tuple = ()):
+        return tuple.__new__(cls, ("LocalHistory", initial, rounds))
 
     def __contains__(self, o: LocalHap) -> bool:
         return any(o in rnd for rnd in self.rounds)

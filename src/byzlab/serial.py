@@ -207,7 +207,7 @@ def decode_haps(v, where: str, family: str, n: int, t=None) -> frozenset:
 
 # hap type -> (form name, its fields in JSON order); `fail` is the
 # ByzAction without sides
-_WRITERS = {build: (name, build.__slots__[:len(kinds)])
+_WRITERS = {build: (name, build._fields[:len(kinds)])
             for forms in FORMS.values() for name, (build, kinds) in forms.items()
             if isinstance(build, type) and name}
 

@@ -1,6 +1,5 @@
 import importlib.util
 import os
-from dataclasses import replace
 from itertools import chain, combinations
 
 import pytest
@@ -177,8 +176,9 @@ def global_hap_strategy(agents, msgs, times=st.integers(0, 6)):
         st.builds(Go, agents), st.builds(Sleep, agents), st.builds(Hib, agents),
         st.builds(fail, agents),
         # a byzantine agent's sends are its own
-        st.builds(lambda p, r: ByzAction(p.agent, p, replace(r, agent=p.agent)),
-                  gsends, gsends),
+        st.builds(lambda p, r: ByzAction(
+            p.agent, p, GSend(p.agent, r.to, r.msg, r.copy, r.sent_at)),
+            gsends, gsends),
         st.builds(lambda p: ByzAction(p.agent, p, None), gsends),
         st.builds(lambda i, e: ByzEvent(i, GExternal(i, e)), agents, msgs),
     )

@@ -1,9 +1,13 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from byzlab.haps import (
-    FAULT_KINDS, ByzAction, External, GExternal, GRecv, GSend, Go,
-    LocalHistory, Recv, Send, Sleep, apply_round, compile_round, fail,
+    FAULT_KINDS, ByzAction, ByzEvent, External, GExternal, GRecv, GSend, Go,
+    Hib, LocalHistory, Recv, Send, Sleep, apply_round, compile_round, fail,
     globalize, initial_state, join_round, localize,
 )
 from tests.conftest import (
@@ -130,3 +134,104 @@ def test_compiled_rounds_join_as_the_reference_updates(records):
         for final in finals:
             assert len(own) == len(final.local(i).rounds)
             assert all(x is y for x, y in zip(own, final.local(i).rounds))
+
+
+# haps and local histories are tagged tuples: value semantics
+
+TYPES = (Send, Recv, External, GSend, GRecv, GExternal, ByzAction, ByzEvent,
+         Go, Sleep, Hib, LocalHistory)
+
+# one value of each type and its text, as the dataclasses printed it
+REPRS = {
+    Send(2, "m"): "Send(to=2, msg='m', copy=0)",
+    Recv(1, "m"): "Recv(frm=1, msg='m')",
+    External("quake"): "External(event='quake')",
+    S: "GSend(agent=1, to=2, msg='m', copy=0, sent_at=0)",
+    GRecv(2, 1, "m", S): "GRecv(agent=2, frm=1, msg='m', gmi=GSend(agent=1, "
+                         "to=2, msg='m', copy=0, sent_at=0))",
+    GExternal(3, "quake"): "GExternal(agent=3, event='quake')",
+    ByzAction(1, S): "ByzAction(agent=1, performed=GSend(agent=1, to=2, "
+                     "msg='m', copy=0, sent_at=0), recorded=None)",
+    ByzEvent(2, GExternal(2, "e")):
+        "ByzEvent(agent=2, event=GExternal(agent=2, event='e'))",
+    Go(1): "Go(agent=1)", Sleep(2): "Sleep(agent=2)", Hib(3): "Hib(agent=3)",
+    LocalHistory("s", (frozenset({Recv(1, "m")}), frozenset())):
+        "LocalHistory(initial='s', rounds=(frozenset({Recv(frm=1, "
+        "msg='m')}), frozenset()))",
+}
+
+
+def fields(h) -> tuple:
+    return tuple(getattr(h, f) for f in h._fields)
+
+
+def test_every_type_has_a_value_and_its_repr():
+    assert {type(h) for h in REPRS} == set(TYPES)
+    for h, text in REPRS.items():
+        assert repr(h) == text
+        assert h[0] == type(h).__name__  # the tag
+
+
+def test_equal_fields_of_two_types_give_unequal_values():
+    named = [(Go(1), Sleep(1)), (Go(1), Hib(1)), (Sleep(1), Hib(1)),
+             (Go(1), fail(1)), (Recv(1, "m"), GExternal(1, "m"))]
+    for a, b in named:
+        assert a != b and b != a, (a, b)
+    # every type built from one field tuple's prefix: equal fields, and
+    # every pair of types unequal
+    values = [t(*(1, None, None, None, None)[:len(t._fields)]) for t in TYPES]
+    for a, b in itertools.combinations(values, 2):
+        assert a != b, (a, b)
+        if len(a._fields) == len(b._fields):
+            assert fields(a) == fields(b)
+    assert len(set(values)) == len(TYPES)
+
+
+def test_no_value_equals_the_plain_tuple_of_its_fields():
+    for h in REPRS:
+        assert h != fields(h) and fields(h) != h
+        assert h not in {fields(h)}
+    # nor a guard of the same arguments
+    assert Recv(1, "m") != ("received", 1, "m")
+
+
+def test_values_are_read_only():
+    for h in REPRS:
+        name = h._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(h, name, getattr(h, name))
+        with pytest.raises(AttributeError):
+            h.extra = 1
+
+
+def test_copy_and_pickle_round_trip():
+    for h in REPRS:
+        copies = [copy.copy(h), copy.deepcopy(h)] + [
+            pickle.loads(pickle.dumps(h, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is type(h) and c == h and hash(c) == hash(h)
+            assert repr(c) == repr(h)
+
+
+@given(st.lists(st.tuples(agents, agents, msgs, st.integers(0, 3),
+                          st.integers(0, 4)), min_size=2, max_size=6))
+def test_order_within_a_type_follows_the_field_tuples(rows):
+    sends = [GSend(*row) for row in rows]
+    assert [fields(g) for g in sorted(sends)] == sorted(rows)
+    for a, b in itertools.combinations(sends, 2):
+        assert (a < b) == (fields(a) < fields(b))
+    locals_ = [Send(row[1], row[2], row[3]) for row in rows]
+    assert [fields(a) for a in sorted(locals_)] == sorted(map(fields, locals_))
+
+
+def test_a_byzantine_hap_holds_only_its_own_agent_haps():
+    other = GSend(2, 1, "m", 0, 0)
+    for bad in (lambda: ByzAction(1, other), lambda: ByzAction(1, None, other),
+                lambda: ByzAction(1, S, other),
+                lambda: ByzEvent(1, GExternal(2, "e")),
+                lambda: ByzEvent(1, GRecv(2, 1, "m", S))):
+        with pytest.raises(ValueError, match="another agent's hap"):
+            bad()
+    assert ByzAction(2, other, other).performed == other
+    assert ByzEvent(2, GRecv(2, 1, "m", S)).event.gmi == S

@@ -668,8 +668,8 @@ def _run_suite_json(*argv):
     return json.loads(proc.stdout)
 
 
-TIMINGS = {"enumerate_s", "classes_s", "cross_check_s", "seconds",
-           "peak_rss_mb"}
+TIMINGS = {"enumerate_s", "system_s", "classes_s", "cross_check_s",
+           "seconds", "peak_rss_mb"}
 
 
 def test_run_suite_rows_share_one_schema():

@@ -9,15 +9,16 @@ one system of the stress family: the benchmark's `formulas` scenario
 ROADMAP.md's baseline table gives its figures for H=4, 5 and 6.
 
 Each system gives one row, of one schema in both modes: its runs and
-points, `states` (the distinct global states among the points, on which
-the oracle evaluates state formulas once), `expanded` (the distinct
-states enumeration stepped from), the distinct histories of all agents,
-the detector verdicts cross-checked against the brute-force oracle and
-the refuted ones, the seconds spent enumerating, building the
-interpreted system over the runs (`system_s`), classing every agent's
-histories (`classes_s`), cross-checking and in all, and the process's
-peak RSS so far.  `--json` prints the corpus as a list of rows and a
-stress system as one row.
+points; `states`, the distinct global states among the points, which
+the interpreted system lists and on which the oracle evaluates state
+formulas once; `expanded`, the distinct states enumeration stepped
+from, counted as the distinct future keys of those states before the
+horizon; the distinct histories of all agents; the detector verdicts
+cross-checked against the brute-force oracle and the refuted ones; the
+seconds spent enumerating, building the interpreted system over the
+runs (`system_s`), classing every agent's histories (`classes_s`),
+cross-checking and in all; and the process's peak RSS so far.  `--json`
+prints the corpus as a list of rows and a stress system as one row.
 
 Exit status, as `byzlab` gives it (`byzlab.cli.exit_status`): 1 on a
 refuted verdict; 2, with one `error:` line on stderr that names the
@@ -70,12 +71,13 @@ def confront(sc):
     classed = time.monotonic()
     verdicts = cross_check(sc, system)
     checked = time.monotonic()
-    stepped = {id(s): s for r in runs for s in r.states[:-1]}.values()
     return {
         "scenario": sc.name, "n": sc.ctx.n, "f": sc.ctx.f,
         "horizon": sc.ctx.horizon, "runs": len(runs),
-        "points": len(runs) * (system.horizon + 1), "states": system.nodes,
-        "expanded": len({future_key(len(s.env), s) for s in stepped}),
+        "points": len(runs) * (system.horizon + 1),
+        "states": len(system.states), "expanded": len({
+            future_key(len(s.env), s) for s in system.states
+            if len(s.env) < system.horizon}),
         "histories": histories, "verdicts": len(verdicts),
         "refuted": sum(not ok for *_, ok in verdicts),
         "enumerate_s": round(enumerated - start, 3),

@@ -82,15 +82,21 @@ class GSend(_Tagged):
 class GRecv(_Tagged):
     """Correct delivery to `agent` of a message sent by `frm`.
 
-    `gmi` is the `GSend` delivered, or None for an unresolved delivery
-    template in an environment menu; the engine materializes templates
-    against actual sends before filtering.
+    `gmi` is the `GSend` delivered, a send of `msg` from `frm` to
+    `agent`, or None for an unresolved delivery template in an
+    environment menu; the engine materializes templates against actual
+    sends before filtering.
     """
 
     __slots__ = ()
     def __new__(cls, agent: AgentId, frm: AgentId, msg: str,
                 gmi: Optional[GSend] = None):
-        return tuple.__new__(cls, ("GRecv", agent, frm, msg, gmi))
+        g = tuple.__new__(cls, ("GRecv", agent, frm, msg, gmi))
+        if gmi is not None and \
+                (gmi.agent, gmi.to, gmi.msg) != (frm, agent, msg):
+            raise ValueError(f"{g!r} names no send of {msg!r} from {frm} "
+                             f"to {agent}")
+        return g
 
 
 class GExternal(_Tagged):

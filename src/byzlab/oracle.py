@@ -17,9 +17,8 @@ knowledge is kept per history of its agent, and the classes of histories
 are built per node.  An all-points `check` of a formula free of a `G`
 outside any `K` evaluates it once per node and expands the values to the
 points; only such a `G` walks the points.  A class reads its first point
-from its first node and lists its points only when it is first walked;
-the points are then the `(run, t)` tuples of `points()`, which the
-classes and verdicts share, each point stored once.
+from its first node; an agent's classes list their points, from the
+nodes of each run, only when one of them is first walked.
 """
 
 from __future__ import annotations
@@ -46,49 +45,31 @@ ATOM, NOT, AND, OR, IMPLIES, KNOW, ALWAYS = range(7)
 _BINARY = {And: AND, Or: OR, Implies: IMPLIES}
 
 
-class _Points:
-    """A system's points in order, each one `(run, t)` tuple built when
-    first asked for, and the node at each."""
-
-    __slots__ = ("node_at", "horizon", "_list")
-
-    def __init__(self, node_at: List[List[int]], horizon: Timestamp):
-        self.node_at = node_at  # run index -> t -> node
-        self.horizon = horizon
-        self._list: Optional[List[Point]] = None
-
-    def list(self) -> List[Point]:
-        if self._list is None:
-            self._list = [(ridx, t) for ridx in range(len(self.node_at))
-                          for t in range(self.horizon + 1)]
-        return self._list
-
-    def with_nodes(self):
-        return zip(self.list(), chain.from_iterable(self.node_at))
-
-
 class _AgentClasses:
     """One agent's classes, numbered in the order of their first points:
     `index` maps a node to its class, `firsts` lists each class's first
     point of each of its nodes, and `members()` each class's points, for
-    every class in one pass when first asked for.  It holds the system's
-    points, not the system, so that the classes make no reference cycle."""
+    every class in one pass over the node rows when first asked for.  It
+    holds the rows, not the system, so that the classes make no
+    reference cycle."""
 
-    __slots__ = ("index", "firsts", "_points", "_members")
+    __slots__ = ("index", "firsts", "_node_at", "_members")
 
     def __init__(self, index: List[int], firsts: List[List[Point]],
-                 points: _Points):
+                 node_at: List[List[int]]):
         self.index = index
         self.firsts = firsts
-        self._points = points
+        self._node_at = node_at  # run index -> t -> node
         self._members: Optional[List[List[Point]]] = None
 
     def members(self) -> List[List[Point]]:
         if self._members is None:
             with collector_paused():  # the build makes no reference cycles
                 members: List[List[Point]] = [[] for _ in self.firsts]
-                for p, node in self._points.with_nodes():
-                    members[self.index[node]].append(p)
+                index = self.index
+                for ridx, row in enumerate(self._node_at):
+                    for t, node in enumerate(row):
+                        members[index[node]].append((ridx, t))
                 self._members = members
         return self._members
 
@@ -129,8 +110,9 @@ class _ClassPoints(Sequence):
 
 class InterpretedSystem:
     """Enumerated runs, over which formulas of designated atoms are
-    evaluated.  `quiescent` says the final round offers no activity, so
-    that `G` cannot change on a longer horizon."""
+    evaluated; `states` lists the distinct states among their points.
+    `quiescent` says the final round offers no activity, so that `G`
+    cannot change on a longer horizon."""
 
     def __init__(self, runs: List[Run], quiescent: bool = True):
         self.runs = list(runs)
@@ -140,12 +122,11 @@ class InterpretedSystem:
         self._ids: Dict[tuple, int] = {}      # row -> subformula id
         self._memo: List[dict] = []           # subformula id -> key -> value
         self._classes: Dict[AgentId, Dict[LocalHistory, _ClassPoints]] = {}
-        # agent -> (node -> class index, class index -> the first point of
-        # each distinct node in the class, the classes)
-        self._class_index: Dict[AgentId, tuple] = {}
+        self._agents: Dict[AgentId, _AgentClasses] = {}
+        self._points: Optional[List[Point]] = None
         # Nodes are numbered in the order of their first points.  Runs
         # that enumeration repeats are one `Run` object and share a row.
-        self._states: List[GlobalState] = []  # node -> its state
+        self.states: List[GlobalState] = []   # node -> its state
         self._first_at: List[Point] = []      # node -> its first point
         self._node_at: List[List[int]] = []   # run index -> t -> node
         node_of: Dict[int, int] = {}  # id of a GlobalState -> its node
@@ -156,20 +137,21 @@ class InterpretedSystem:
                 row = rows[id(run)] = []
                 for t, state in enumerate(run.states):
                     node = node_of.setdefault(id(state), len(node_of))
-                    if node == len(self._states):
-                        self._states.append(state)
+                    if node == len(self.states):
+                        self.states.append(state)
                         self._first_at.append((ridx, t))
                     row.append(node)
             self._node_at.append(row)
-        self.nodes = len(self._states)  # distinct states among the points
-        self._points = _Points(self._node_at, self.horizon)
 
     # -- points ------------------------------------------------------------
 
     def points(self) -> List[Point]:
-        """Every point in order, one tuple each: the classes and `check`
-        hold these tuples, not copies.  Callers must not mutate it."""
-        return self._points.list()
+        """Every point in order, listed once when first asked for.
+        Callers must not mutate it."""
+        if self._points is None:
+            self._points = [(ridx, t) for ridx in range(len(self.runs))
+                            for t in range(self.horizon + 1)]
+        return self._points
 
     def agent_classes(self,
                       agent: AgentId) -> Dict[LocalHistory, Sequence[Point]]:
@@ -177,19 +159,18 @@ class InterpretedSystem:
         first points.  A class reads its first point from its first node;
         the first walk of any class of the agent lists all of them."""
         if agent not in self._classes:
-            with collector_paused():  # the build makes no reference cycles
-                # one hash per node; classes are numbered, and each one's
-                # firsts listed, in the order of the nodes' first points
-                ids: Dict[LocalHistory, int] = {}
-                index = [ids.setdefault(s.locals[agent - 1], len(ids))
-                         for s in self._states]
-                firsts: List[List[Point]] = [[] for _ in ids]
-                for k, p in zip(index, self._first_at):
-                    firsts[k].append(p)
-                classes = _AgentClasses(index, firsts, self._points)
-                self._class_index[agent] = (index, firsts, classes)
-                self._classes[agent] = {h: _ClassPoints(classes, k)
-                                        for h, k in ids.items()}
+            # one hash per node; classes are numbered, and each one's
+            # firsts listed, in the order of the nodes' first points
+            ids: Dict[LocalHistory, int] = {}
+            index = [ids.setdefault(s.locals[agent - 1], len(ids))
+                     for s in self.states]
+            firsts: List[List[Point]] = [[] for _ in ids]
+            for k, p in zip(index, self._first_at):
+                firsts[k].append(p)
+            classes = self._agents[agent] = _AgentClasses(
+                index, firsts, self._node_at)
+            self._classes[agent] = {h: _ClassPoints(classes, k)
+                                    for h, k in ids.items()}
         return self._classes[agent]
 
     # -- compilation -------------------------------------------------------
@@ -252,10 +233,10 @@ class InterpretedSystem:
         kind, a, b, per_point, _ = self._table[fid]
         node = self._node_at[ridx][t]
         if kind == KNOW:
-            if a not in self._class_index:
+            if a not in self._agents:
                 self.agent_classes(a)
-            index, firsts, classes = self._class_index[a]
-            key = index[node]
+            classes = self._agents[a]
+            key = classes.index[node]
         else:
             key = (ridx, t) if per_point else node
         memo = self._memo[fid]
@@ -264,7 +245,7 @@ class InterpretedSystem:
             return out
         if kind == ATOM:
             try:
-                out = eval_atom(self._states[node], a)
+                out = eval_atom(self.states[node], a)
             except AtomTimeError as e:
                 raise AtomTimeError(f"{e} at run {ridx}, t={t}") from None
         elif kind == NOT:
@@ -278,8 +259,8 @@ class InterpretedSystem:
         elif kind == KNOW:
             # a class visits each node at its first point only, unless
             # the subformula depends on the point itself
-            pts = classes.members()[key] if self._table[b][3] else firsts[key]
-            out = all(self._value(b, r, u) for r, u in pts)
+            pts = classes.members() if self._table[b][3] else classes.firsts
+            out = all(self._value(b, r, u) for r, u in pts[key])
         else:  # ALWAYS
             out = all(self._value(a, ridx, u)
                       for u in range(t, self.horizon + 1))
@@ -304,7 +285,8 @@ class InterpretedSystem:
         if self._table[fid][3]:
             return [(q, self._value(fid, *q)) for q in self.points()], warning
         values = [self._value(fid, *q) for q in self._first_at]
-        return [(q, values[node]) for q, node in self._points.with_nodes()], warning
+        return [(q, values[node]) for q, node in zip(
+            self.points(), chain.from_iterable(self._node_at))], warning
 
     # -- the trust contract ------------------------------------------------
 

@@ -9,10 +9,13 @@ A trace is one header line followed by one line per round:
 
 Each round line carries the environment's verbatim record of the round
 (events plus every agent's performed actions); local histories are
-reconstructed from it on load.  A delivery must name a send of the
-record so far or one stamped with its own round (the action filter may
-drop a send the causality filter let a delivery name).  Serialization
-is canonical, so the same run always produces byte-identical text.
+reconstructed from it on load.  A round's sends are its own: each
+correct send and each send a byzantine action performs is stamped with
+its round, and a correct send's agent has a go in it.  A delivery must
+name a send of the record so far or one stamped with its own round (the
+action filter may drop a send the causality filter let a delivery
+name).  Serialization is canonical, so the same run always produces
+byte-identical text.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-from .haps import GRecv, Run, apply_round, initial_state
+from .haps import ByzAction, GRecv, GSend, Go, Run, apply_round, initial_state
 from .serial import (
     InputError, decode_haps, field, hap_key, parse_json, read_text, to_json,
     typed,
@@ -91,9 +94,17 @@ def read_trace(path: str) -> Tuple[Run, dict]:
         haps = decode_haps(rec.get("haps"), f"{at}: haps", "global hap", n)
         state = apply_round(state, haps)
         for g in haps:
-            if isinstance(g, GRecv) and (g.gmi is None or g.gmi not in
-                                         state.sent and g.gmi.sent_at != t):
-                raise InputError(f"{at}: haps",
-                                 f"{_dumps(to_json(g))} names no send")
+            kind = type(g)
+            send = g.performed if kind is ByzAction else g
+            if type(send) is GSend and send.sent_at != t:
+                why = f"holds a send not stamped with round {t}"
+            elif kind is GSend and Go(g.agent) not in haps:
+                why = f"is sent without a go of agent {g.agent}"
+            elif kind is GRecv and (g.gmi is None or g.gmi not in
+                                    state.sent and g.gmi.sent_at != t):
+                why = "names no send"
+            else:
+                continue
+            raise InputError(f"{at}: haps", f"{_dumps(to_json(g))} {why}")
         states.append(state)
     return Run(tuple(states)), header

@@ -22,7 +22,7 @@ from byzlab.scenario import load_scenario, scenario_from_json
 from byzlab.serial import InputError, decode, to_json
 from byzlab.trace import read_trace, write_trace
 from tests.conftest import (
-    SCENARIO_NAMES, replay_local, scenario_path, update_agent,
+    SCENARIO_NAMES, perfbench_gen, replay_local, scenario_path, update_agent,
 )
 
 
@@ -220,7 +220,7 @@ def test_enumeration_builds_each_distinct_state_once(contexts):
         runs = enumerate_runs(ctx)
         assert [r.states for r in runs] == list(ref_runs(ctx)), name
         states = {s for r in runs for s in r.states}
-        assert InterpretedSystem(runs).nodes == len(states), name
+        assert len(InterpretedSystem(runs).states) == len(states), name
         assert len({id(r) for r in runs}) == len({r.states for r in runs}), \
             name
 
@@ -370,6 +370,22 @@ def test_step_matches_rescanning_reference(suite):
                 assert_summaries_fold_env(state)
 
 
+def test_every_seeded_run_reads_back_from_its_trace(contexts, tmp_path):
+    # the engine's records keep the trace rules: no run it makes is
+    # rejected, over the corpus and `closed` at seeds 0-15 and the 200
+    # recorded runs of the `traces` benchmark
+    doc, seeds, _ = perfbench_gen().traces(1)
+    cases = [(ctx, seed) for ctx in contexts.values() for seed in range(16)]
+    ctx = scenario_from_json(doc, "traces").ctx
+    cases += [(ctx, seed) for seed in seeds]
+    path = str(tmp_path / "run.trace")
+    for ctx, seed in cases:
+        run = seeded_run(ctx, seed)
+        write_trace(path, run, "s", seed)
+        assert read_trace(path)[0] == run, seed
+    assert len(cases) == 568
+
+
 def test_a_send_is_its_own_message_identifier(tmp_path):
     # `sent` holds the record's own GSend objects, after `step` and after
     # `read_trace`, and a delivery names a GSend
@@ -501,7 +517,8 @@ def test_walks_leave_the_collector_as_found(suite, monkeypatch, collecting):
         with pytest.raises(CapExceeded):
             enumerate_runs(replace(sc.ctx, node_cap=3))
         assert gc.isenabled() == collecting
-        InterpretedSystem(runs).agent_classes(1)
+        classes = InterpretedSystem(runs).agent_classes(1)
+        assert list(classes[next(iter(classes))])  # lists every class
         assert gc.isenabled() == collecting
     finally:
         (gc.enable if was else gc.disable)()

@@ -235,3 +235,12 @@ def test_a_byzantine_hap_holds_only_its_own_agent_haps():
             bad()
     assert ByzAction(2, other, other).performed == other
     assert ByzEvent(2, GRecv(2, 1, "m", S)).event.gmi == S
+
+
+def test_a_delivery_names_a_send_of_its_sender_receiver_and_message():
+    # S is a send of "m" from 1 to 2; each field of another send differs
+    assert GRecv(2, 1, "m", S).gmi == S
+    for other in (GSend(3, 1, "x", 0, 0), GSend(3, 2, "m", 0, 0),
+                  GSend(1, 3, "m", 0, 0), GSend(1, 2, "x", 0, 0)):
+        with pytest.raises(ValueError, match="names no send of 'm' from 1"):
+            GRecv(2, 1, "m", other)

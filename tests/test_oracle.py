@@ -198,14 +198,13 @@ def test_classes_match_a_per_point_reference(contexts):
                     firsts.setdefault(h, []).append(p)
             got = system.agent_classes(i)
             assert list(got.items()) == list(classes.items()), (name, i)
-            assert system._class_index[i][1] == list(firsts.values())
+            assert system._agents[i].firsts == list(firsts.values())
 
 
 def _listed(system):
     """Whether `system` has built its points list or any member list."""
-    return system._points._list is not None or any(
-        classes._members is not None
-        for _, _, classes in system._class_index.values())
+    return system._points is not None or any(
+        classes._members is not None for classes in system._agents.values())
 
 
 def test_first_points_list_no_points(suite):
@@ -215,7 +214,7 @@ def test_first_points_list_no_points(suite):
         sc, runs, _ = suite[name]
         system = InterpretedSystem(runs)
         cross_check(sc, system)
-        assert system._class_index and not _listed(system), name
+        assert system._agents and not _listed(system), name
         system = InterpretedSystem(runs)
         firsts = [(i, h, pts[0]) for i in range(1, sc.ctx.n + 1)
                   for h, pts in system.agent_classes(i).items()]

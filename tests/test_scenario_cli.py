@@ -554,6 +554,21 @@ def test_cli_check_against_detection(capsys):
                      "--against-detection"]) == 0, name
 
 
+def test_menu_delivery_of_another_send_exits_2(tmp_path, capsys):
+    # agent 2 would perceive a correct Recv(1, "m") that 1 never sent,
+    # and the oracle would refute the detector's verdicts
+    p = tmp_path / "other_send.json"
+    p.write_text(json.dumps(minimal_doc(
+        agents=3, horizon=2, initial_states=[["s"] * 3],
+        agent_protocols={"3": [{"choices": [[["send", 1, "x"]]]}]},
+        env_protocol={"menus": [
+            {"sets": [[["go", 3]]]},
+            {"sets": [[["grecv", 2, 1, "m", [3, 1, "x", 0, 0]]]]}]})))
+    assert main(["check", str(p), "--against-detection"]) == 2
+    assert "error: env_protocol.menus[1].sets[0]: bad global hap: " in \
+        capsys.readouterr().err
+
+
 def test_cli_node_cap_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BYZLAB_NODE_CAP", "2")
     assert main(["check", scenario_path("s08_delivery_race"),
@@ -803,7 +818,7 @@ def test_detect_past_the_packing_cap_exits_3(tmp_path, capsys):
         {**HEADER, "agents": 9, "initials": ["s"] * 9},
         {"kind": "round", "t": 0, "haps": [
             hap for s, x in pairs for hap in (
-                ["gsend", s, 1, f"m{s}{x}", 0, 0],
+                ["go", s], ["gsend", s, 1, f"m{s}{x}", 0, 0],
                 ["grecv", 1, s, f"m{s}{x}", [s, 1, f"m{s}{x}", 0, 0]])]})))
     assert main(["detect", str(scen), "--trace", str(trace)]) == 3
     assert f"error: {MAX_PACKING_INPUT + 1} chains exceed the packing cap " \
@@ -895,13 +910,29 @@ def test_trace_numbers_physical_lines(tmp_path, capsys):
         ["byz_action", 2, None, ["gsend", 1, 3, "m", 0, 0]]]}], 2),
     ([HEADER, {"kind": "round", "t": 0, "haps": [
         ["byz_event", 2, ["grecv", 1, 3, "m", None]]]}], 2),
+    # a delivery's GMI is a send of its message from its sender to it
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["go", 3], ["gsend", 3, 1, "x", 0, 0]]},
+      {"kind": "round", "t": 1,
+       "haps": [["grecv", 2, 1, "m", [3, 1, "x", 0, 0]]]}], 3),
+    # a round's sends are its own: stamped with it, a correct one with a go
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["gsend", 1, 2, "ping", 0, 0]]},
+      {"kind": "round", "t": 1, "haps": [
+          ["go", 2], ["grecv", 2, 1, "ping", [1, 2, "ping", 0, 0]]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0,
+               "haps": [["go", 1], ["gsend", 1, 2, "m", 0, 7]]}], 2),
+    ([HEADER, {"kind": "round", "t": 0, "haps": [["go", 1]]},
+      {"kind": "round", "t": 1, "haps": [
+          ["byz_action", 2, ["gsend", 2, 1, "m", 0, 0], None]]}], 3),
 ], ids=["header-array", "no-agents", "agents-string", "no-initials",
         "initials-string", "agent-above-n", "agent-zero", "grecv-sender",
         "agents-true", "gext-event-int", "sent-at-null", "agent-true",
         "byz-action-gext", "byz-event-go", "gsend-receiver", "gmi-agent",
         "go-extra", "gmi-extra", "grecv-template", "grecv-unsent",
         "grecv-sent-later", "byz-action-performs-other",
-        "byz-action-records-other", "byz-event-other"])
+        "byz-action-records-other", "byz-event-other", "grecv-other-send",
+        "gsend-without-go", "gsend-stamped-later", "byz-send-stamped-earlier"])
 def test_trace_rejects_malformed_input(tmp_path, capsys, lines, lineno):
     p = tmp_path / "t.trace"
     p.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

@@ -46,7 +46,7 @@ def test_key_separates_sets(X):
 
 # one JSON argument of each kind, as a menu at time 3 may spell it
 SAMPLE = {"agent": 2, "string": "m", "integer": 1, "copy": 1, "time": 3,
-          "GMI or null": [1, 2, "m", 0, 3],
+          "GMI or null": [2, 2, "m", 0, 3],
           "gsend or null": ["gsend", 2, 1, "m", 0, 3],
           "grecv or gext": ["gext", 2, "e"]}
 
